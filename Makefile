@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-hot bench-json bench-diff warm-cache fuzz chaos serve-metrics smoke-metrics load service-smoke crash-recovery log-bench explain-bench policy-race all
+.PHONY: build test race vet fmt-check bench bench-hot bench-json bench-diff warm-cache fuzz chaos serve-metrics smoke-metrics load service-smoke crash-recovery log-bench explain-bench policy-race all
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any Go file is not gofmt-clean; `gofmt -l .` names them.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # Wall-clock impact of the comparison-wave worker pool, plus the existing
 # algorithm cost benchmarks.
@@ -122,12 +126,14 @@ explain-bench:
 policy-race:
 	$(GO) run ./cmd/perfcheck -policy-race -json BENCH_PR10.json
 
-# Short fuzzing sessions: compareAll's duplicate/orientation grouping, and
-# randomized platform fault schedules against the resilience layer. Go
-# runs one -fuzz target per invocation, hence two commands.
+# Short fuzzing sessions: compareAll's duplicate/orientation grouping,
+# randomized platform fault schedules against the resilience layer, and
+# the O(1)-seeded source against math/rand's stream. Go runs one -fuzz
+# target per invocation, hence one command each.
 fuzz:
 	$(GO) test ./internal/topk/ -run '^$$' -fuzz FuzzCompareAllGrouping -fuzztime 30s
 	$(GO) test ./internal/topk/ -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 30s
+	$(GO) test ./internal/crowd/ -run '^$$' -fuzz FuzzSeededSource -fuzztime 30s
 
 # The deterministic chaos suite under the race detector: seeded fault
 # schedules (drops, stragglers, duplicates, corruption, transient and

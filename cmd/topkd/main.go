@@ -351,6 +351,9 @@ func main() {
 			dlg.Error("trace dump", "err", err)
 		} else {
 			fmt.Printf("topkd: trace file %s\n", *traceOut)
+			if d := tel.TraceDropped(); d > 0 {
+				dlg.Warn("trace truncated: the tracer keeps only its newest spans", "dropped", d)
+			}
 		}
 	}
 	if *statsOut != "" {

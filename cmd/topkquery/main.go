@@ -239,6 +239,9 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("trace file: %s\n", *traceOut)
+		if d := tel.TraceDropped(); d > 0 {
+			fmt.Fprintf(os.Stderr, "warning: the tracer keeps only its newest spans and dropped %d older ones; per-phase sums over %s undercount\n", d, *traceOut)
+		}
 	}
 	if *statsOut != "" {
 		w := os.Stdout

@@ -161,6 +161,15 @@ type Log struct {
 	chain  [32]byte // chain root after the last sealed segment
 	dirty  bool
 	man    manifest
+	// sealed is the fold state: the manifest checkpoint's values plus
+	// every record sealed since, i.e. exactly what the next fold writes.
+	// When Open adopts folded or sealed history it is nil until the first
+	// fold loads it from disk; from then on seal keeps it current, so
+	// folds never re-read history.
+	sealed *folder
+	// activeRecs mirrors the active segment's records, for seal to fold
+	// into sealed.
+	activeRecs []crowd.Record
 	// wbuf stages encoded records across one drain cycle so many queued
 	// batches land in a single write(2); reused between cycles.
 	wbuf []byte
@@ -215,6 +224,11 @@ func Open(dir string, o Options) (*Log, error) {
 	}
 	l.total.Store(st.total)
 	l.man = manifest{Kind: "manifest", Checkpoint: st.manCkpt, Segments: st.manSegs, Records: st.total - st.activeCount()}
+	if l.man.Checkpoint == nil && len(l.man.Segments) == 0 {
+		// No folded or sealed history: the fold state is known to be
+		// empty, so even the first fold need not read anything.
+		l.sealed = newFolder()
+	}
 
 	if st.active != nil {
 		// Adopt the recovered tail and keep appending to it.
@@ -235,6 +249,7 @@ func Open(dir string, o Options) (*Log, error) {
 		l.seq = st.active.header.Seq
 		l.base = st.active.header.Base
 		l.count = len(st.active.records)
+		l.activeRecs = st.active.records
 		l.size = st.active.validLen
 		l.leaves = st.active.leaves
 		l.man.ActiveSeq = l.seq
@@ -487,6 +502,7 @@ func (l *Log) stageBatch(batch *[]crowd.Record) {
 		l.wbuf = append(l.wbuf, '\n')
 	}
 	l.count += len(recs)
+	l.activeRecs = append(l.activeRecs, recs...)
 	l.size += int64(len(l.wbuf) - staged)
 	l.committed.Add(int64(len(recs)))
 	l.total.Add(int64(len(recs)))
@@ -575,6 +591,9 @@ func (l *Log) seal() {
 		Root: seal.Root, Chain: seal.Chain,
 	})
 	l.man.Records += int64(l.count)
+	if l.sealed != nil {
+		l.sealed.addRecords(l.activeRecs)
+	}
 	// No unsealed segment exists until openSegment creates the successor;
 	// a manifest pointing at a sealed (or folded-away) seq as active
 	// would send Verify chasing a ghost.
@@ -590,37 +609,34 @@ func (l *Log) seal() {
 // deletes the folded files. A crash at any point leaves either the old
 // world (manifest still names it) or the new one plus deletable
 // leftovers — never a world missing records.
+//
+// The checkpoint is written from the in-memory fold state; only the
+// first fold after an Open that adopted history reads the folded files.
+// A fold leaves that state untouched whether or not it succeeds: it
+// already equals both the old world (checkpoint plus segments) and the
+// new one (the checkpoint alone).
 func (l *Log) fold() {
 	if l.loadErr() != nil || len(l.man.Segments) == 0 {
 		return
 	}
-	fo := newFolder()
-	var folded []string
-	if l.man.Checkpoint != nil {
-		doc, _, err := readCheckpoint(filepath.Join(l.dir, l.man.Checkpoint.File))
+	if l.sealed == nil {
+		fo, err := l.readSealed()
 		if err != nil {
 			l.fail(err)
 			return
 		}
-		fo.addDoc(doc)
+		l.sealed = fo
+	}
+	var folded []string
+	if l.man.Checkpoint != nil {
 		folded = append(folded, l.man.Checkpoint.File)
 	}
 	for _, ms := range l.man.Segments {
-		ps, err := readSegment(filepath.Join(l.dir, ms.File))
-		if err != nil {
-			l.fail(err)
-			return
-		}
-		fo.addRecords(ps.records)
 		folded = append(folded, ms.File)
 	}
 	upTo := l.man.Segments[len(l.man.Segments)-1].Seq
-	doc := fo.doc(upTo, hexChain(l.chain))
-	data, err := json.Marshal(doc)
-	if err != nil {
-		l.fail(err)
-		return
-	}
+	doc := l.sealed.doc(upTo, hexChain(l.chain))
+	data := appendCheckpointJSON(make([]byte, 0, checkpointSizeHint(doc)), doc)
 	name := checkpointFile(upTo)
 	if err := writeFileAtomic(filepath.Join(l.dir, name), data, l.o.hooks); err != nil {
 		l.fail(err)
@@ -645,6 +661,27 @@ func (l *Log) fold() {
 			return
 		}
 	}
+}
+
+// readSealed folds the manifest's checkpoint and sealed segments from
+// disk: the fold state of a log that has not folded since Open.
+func (l *Log) readSealed() (*folder, error) {
+	fo := newFolder()
+	if l.man.Checkpoint != nil {
+		doc, _, err := readCheckpoint(filepath.Join(l.dir, l.man.Checkpoint.File))
+		if err != nil {
+			return nil, err
+		}
+		fo.addDoc(doc)
+	}
+	for _, ms := range l.man.Segments {
+		ps, err := readSegment(filepath.Join(l.dir, ms.File))
+		if err != nil {
+			return nil, err
+		}
+		fo.addRecords(ps.records)
+	}
+	return fo, nil
 }
 
 // openSegment creates segment seq, writes its header (committing to the
@@ -680,6 +717,7 @@ func (l *Log) openSegment(seq int) {
 	l.seq = seq
 	l.base = l.total.Load()
 	l.count = 0
+	l.activeRecs = l.activeRecs[:0]
 	l.size = int64(len(line) + 1)
 	// Reuse the sealed predecessor's leaf array: rotation would otherwise
 	// reallocate (and GC) SegmentMaxRecords hashes per segment.

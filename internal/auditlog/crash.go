@@ -33,6 +33,9 @@ type crashHooks struct {
 	// DiedOp records which operation the crash landed on, for test
 	// diagnostics ("write", "sync", "rename", "remove").
 	DiedOp atomic.Value
+	// DiedPath records the file that operation targeted (the destination
+	// of a rename).
+	DiedPath atomic.Value
 }
 
 // Steps returns how many io steps have executed — run a schedule with
@@ -43,12 +46,13 @@ func (h *crashHooks) Steps() int64 { return h.step.Load() }
 func (h *crashHooks) Died() bool { return h != nil && h.dead.Load() }
 
 // trip returns true when this step is the scheduled death.
-func (h *crashHooks) trip(op string) bool {
+func (h *crashHooks) trip(op, path string) bool {
 	if h.dead.Load() {
 		return true
 	}
 	if h.step.Add(1) == h.KillAt {
 		h.DiedOp.Store(op)
+		h.DiedPath.Store(path)
 		h.dead.Store(true)
 		return true
 	}
@@ -60,7 +64,7 @@ func (h *crashHooks) write(f *os.File, data []byte) error {
 		_, err := f.Write(data)
 		return err
 	}
-	if h.trip("write") {
+	if h.trip("write", f.Name()) {
 		n := h.Partial
 		if n > len(data) {
 			n = len(data)
@@ -78,7 +82,7 @@ func (h *crashHooks) sync(f *os.File) error {
 	if h == nil {
 		return f.Sync()
 	}
-	if h.trip("sync") {
+	if h.trip("sync", f.Name()) {
 		return errSimulatedCrash
 	}
 	return f.Sync()
@@ -88,7 +92,7 @@ func (h *crashHooks) rename(oldpath, newpath string) error {
 	if h == nil {
 		return os.Rename(oldpath, newpath)
 	}
-	if h.trip("rename") {
+	if h.trip("rename", newpath) {
 		return errSimulatedCrash
 	}
 	return os.Rename(oldpath, newpath)
@@ -98,7 +102,7 @@ func (h *crashHooks) remove(path string) error {
 	if h == nil {
 		return os.Remove(path)
 	}
-	if h.trip("remove") {
+	if h.trip("remove", path) {
 		return errSimulatedCrash
 	}
 	return os.Remove(path)

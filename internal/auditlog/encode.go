@@ -1,6 +1,7 @@
 package auditlog
 
 import (
+	"encoding/json"
 	"math"
 	"strconv"
 
@@ -45,4 +46,87 @@ func appendJSONFloat(buf []byte, f float64) []byte {
 		}
 	}
 	return buf
+}
+
+// appendCheckpointJSON renders a checkpoint exactly as json.Marshal
+// would. A checkpoint holds every folded value, so the reflective
+// encoder's doubling buffer, which its pool keeps alive between folds,
+// set a long-lived log's memory peak. Here the caller sizes buf once
+// (checkpointSizeHint). Byte equivalence is pinned by
+// TestAppendCheckpointJSONMatchesStdlib: the manifest pins the file's
+// SHA-256.
+func appendCheckpointJSON(buf []byte, doc *checkpointDoc) []byte {
+	buf = append(buf, `{"kind":`...)
+	buf = appendJSONString(buf, doc.Kind)
+	buf = append(buf, `,"upto":`...)
+	buf = strconv.AppendInt(buf, int64(doc.UpTo), 10)
+	buf = append(buf, `,"chain":`...)
+	buf = appendJSONString(buf, doc.Chain)
+	buf = append(buf, `,"records":`...)
+	buf = strconv.AppendInt(buf, doc.Records, 10)
+	buf = append(buf, `,"pairs":`...)
+	if doc.Pairs == nil {
+		buf = append(buf, "null"...)
+	} else {
+		buf = append(buf, '[')
+		for n, p := range doc.Pairs {
+			if n > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, `{"i":`...)
+			buf = strconv.AppendInt(buf, int64(p.I), 10)
+			buf = append(buf, `,"j":`...)
+			buf = strconv.AppendInt(buf, int64(p.J), 10)
+			buf = append(buf, `,"values":`...)
+			buf = appendJSONFloats(buf, p.Values)
+			buf = append(buf, '}')
+		}
+		buf = append(buf, ']')
+	}
+	if len(doc.Grades) > 0 {
+		buf = append(buf, `,"grades":[`...)
+		for n, g := range doc.Grades {
+			if n > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, `{"i":`...)
+			buf = strconv.AppendInt(buf, int64(g.I), 10)
+			buf = append(buf, `,"values":`...)
+			buf = appendJSONFloats(buf, g.Values)
+			buf = append(buf, '}')
+		}
+		buf = append(buf, ']')
+	}
+	return append(buf, '}')
+}
+
+// appendJSONString renders s as encoding/json does. Checkpoint strings
+// are a constant and a hex digest, so this is not worth hand-rolling.
+func appendJSONString(buf []byte, s string) []byte {
+	b, _ := json.Marshal(s) // a string always marshals
+	return append(buf, b...)
+}
+
+// appendJSONFloats renders a float64 slice as encoding/json does: null
+// for a nil slice, else a bracketed list.
+func appendJSONFloats(buf []byte, vs []float64) []byte {
+	if vs == nil {
+		return append(buf, "null"...)
+	}
+	buf = append(buf, '[')
+	for n, v := range vs {
+		if n > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendJSONFloat(buf, v)
+	}
+	return append(buf, ']')
+}
+
+// checkpointSizeHint bounds the encoded size of doc from above for the
+// values the audit log stores (pairwise preferences in [-1, 1], grades
+// of similar magnitude print in at most ~24 bytes each), so one
+// allocation usually holds the whole checkpoint.
+func checkpointSizeHint(doc *checkpointDoc) int {
+	return 128 + len(doc.Chain) + 48*(len(doc.Pairs)+len(doc.Grades)) + 24*int(doc.Records)
 }

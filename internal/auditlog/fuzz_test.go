@@ -27,9 +27,9 @@ func FuzzSegmentReload(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)                    // a whole sealed segment
-		f.Add(data[:len(data)/2])      // torn mid-file
-		f.Add(data[:len(data)-1])      // torn final newline
+		f.Add(data)               // a whole sealed segment
+		f.Add(data[:len(data)/2]) // torn mid-file
+		f.Add(data[:len(data)-1]) // torn final newline
 	}
 	f.Add([]byte{})
 	f.Add([]byte("{\"kind\":\"header\",\"seq\":1,\"prev\":\"\",\"base\":0}\n"))

@@ -40,7 +40,7 @@ const (
 	lockName     = "LOCK"
 )
 
-func segmentFile(seq int) string    { return fmt.Sprintf("seg-%06d.log", seq) }
+func segmentFile(seq int) string     { return fmt.Sprintf("seg-%06d.log", seq) }
 func checkpointFile(upTo int) string { return fmt.Sprintf("checkpoint-%06d.json", upTo) }
 
 // segmentSeq parses the sequence number out of a segment file name, or -1.

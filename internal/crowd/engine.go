@@ -21,11 +21,17 @@ const numShards = 64
 // (lo, hi) orientation. There is a single writer per pair — whoever holds
 // mu — so publication is a plain pointer store; readers load the pointer
 // and never touch the mutex. Snapshots are immutable once published.
+//
+// held and staged implement HoldLog: while held is positive the pair's
+// audit records collect in staged instead of reaching the log. Both are
+// guarded by mu.
 type pairState struct {
-	mu   sync.Mutex
-	rng  *rand.Rand
-	bag  bag
-	view atomic.Pointer[BagView]
+	mu     sync.Mutex
+	rng    *rand.Rand
+	bag    bag
+	view   atomic.Pointer[BagView]
+	held   int
+	staged []Record
 }
 
 // publishLocked snapshots the bag in canonical orientation and publishes
@@ -307,10 +313,17 @@ func (e *Engine) reserve(n int) int {
 
 // flushLog appends one pair's batch of samples to the audit log under a
 // single logMu acquisition — the per-sample lock round trip the scalar
-// path used to pay is gone. Per-pair record order is preserved because
+// path used to pay is gone — or, while the pair is held (HoldLog), to
+// the pair's staged records. Per-pair record order is preserved because
 // callers still hold the pair mutex, which serializes batches of one pair.
-func (e *Engine) flushLog(k pairKey, vs []float64) {
+func (e *Engine) flushLog(ps *pairState, k pairKey, vs []float64) {
 	round := e.rounds.Load()
+	if ps.held > 0 {
+		for _, v := range vs {
+			ps.staged = append(ps.staged, Record{Round: round, I: k.lo, J: k.hi, Value: v})
+		}
+		return
+	}
 	e.logMu.Lock()
 	n0 := len(e.log)
 	for _, v := range vs {
@@ -322,12 +335,14 @@ func (e *Engine) flushLog(k pairKey, vs []float64) {
 	e.logMu.Unlock()
 }
 
-// appendLog records one microtask if logging is enabled.
-func (e *Engine) appendLog(r Record) {
+// appendRecords appends a batch of records to the audit log and streams
+// it to the sink under one logMu acquisition.
+func (e *Engine) appendRecords(recs []Record) {
 	e.logMu.Lock()
-	e.log = append(e.log, r)
+	n0 := len(e.log)
+	e.log = append(e.log, recs...)
 	if e.sink != nil {
-		e.sink.Record(e.log[len(e.log)-1:])
+		e.sink.Record(e.log[n0:])
 	}
 	e.logMu.Unlock()
 }
@@ -424,7 +439,7 @@ func (e *Engine) DrawN(i, j, n int) (BagView, int) {
 		if filled > 0 {
 			ps.bag.addAll(buf)
 			if e.logging.Load() {
-				e.flushLog(k, buf)
+				e.flushLog(ps, k, buf)
 			}
 			e.pairCmp.Add(int64(filled))
 			ps.publishLocked()
@@ -491,7 +506,7 @@ func (e *Engine) DrawOne(i, j int) (float64, bool) {
 	}
 	ps.bag.add(v)
 	if e.logging.Load() {
-		e.appendLog(Record{Round: e.rounds.Load(), I: k.lo, J: k.hi, Value: v})
+		e.flushLog(ps, k, []float64{v})
 	}
 	e.pairCmp.Add(1)
 	ps.publishLocked()
@@ -612,7 +627,7 @@ func (e *Engine) Grade(i int) (float64, bool) {
 	v := g.Grade(rng, i)
 	e.graded.Add(1)
 	if e.logging.Load() {
-		e.appendLog(Record{Round: e.rounds.Load(), I: i, J: -1, Value: v})
+		e.appendRecords([]Record{{Round: e.rounds.Load(), I: i, J: -1, Value: v}})
 	}
 	if ins := e.ins; ins != nil {
 		ins.Graded.Inc()

@@ -60,11 +60,60 @@ func (e *Engine) SetLogSink(sink RecordSink) {
 	}
 }
 
+// HeldLog is a set of pairs whose audit records are held back by
+// HoldLog until Release.
+type HeldLog struct {
+	e     *Engine
+	pairs []*pairState
+}
+
+// HoldLog holds back the audit records of n pairs (pair returns the
+// idx-th): purchases of a held pair — by any caller — collect on the pair
+// instead of reaching the log and the sink, until Release appends them
+// pair by pair in index order. A deterministic comparison wave holds its
+// chains' pairs across the wave, so records purchased concurrently reach
+// the log in chain order, exactly as a sequential wave logs them. HoldLog
+// returns nil (a no-op holder) while logging is off.
+func (e *Engine) HoldLog(n int, pair func(idx int) (i, j int)) *HeldLog {
+	if !e.logging.Load() || n == 0 {
+		return nil
+	}
+	h := &HeldLog{e: e, pairs: make([]*pairState, n)}
+	for idx := range h.pairs {
+		ps := e.pair(keyOf(pair(idx)))
+		ps.mu.Lock()
+		ps.held++
+		ps.mu.Unlock()
+		h.pairs[idx] = ps
+	}
+	return h
+}
+
+// Release ends the hold and appends each pair's held records to the log,
+// in HoldLog's pair order. The flush happens under the pair mutex, so a
+// later purchase of the pair cannot overtake its held records. Release
+// on a nil holder does nothing.
+func (h *HeldLog) Release() {
+	if h == nil {
+		return
+	}
+	for _, ps := range h.pairs {
+		ps.mu.Lock()
+		ps.held--
+		if recs := ps.staged; len(recs) > 0 && ps.held == 0 {
+			ps.staged = nil
+			h.e.appendRecords(recs)
+		}
+		ps.mu.Unlock()
+	}
+}
+
 // Log returns the recorded microtasks in purchase order. The slice is
 // shared; callers must not modify it, and must not call Log while
-// purchases are in flight. Under parallel comparison waves the order of
-// records from different pairs follows the actual interleaving; records of
-// one pair are always in purchase order, which is all replay needs.
+// purchases are in flight. Records of one pair are always in purchase
+// order, which is all replay needs. Across pairs, a deterministic wave
+// logs in chain order at any parallelism (HoldLog); elsewhere concurrent
+// purchases log in the order they actually interleave.
 func (e *Engine) Log() []Record {
 	e.logMu.Lock()
 	defer e.logMu.Unlock()

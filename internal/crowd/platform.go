@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	qlog "crowdtopk/internal/obs/log"
 )
@@ -365,62 +366,85 @@ func NewSimPlatform(base Oracle, workers int, seed int64) *SimPlatform {
 	}
 }
 
-// Post implements Platform: it fans the batch out to worker goroutines
-// and returns immediately.
+// simRands recycles the simulated workers' generators. Re-seeding a
+// pooled seededSource is O(1), where a fresh rand.NewSource fills its
+// whole 607-word register (~12 µs) for the one answer it then draws.
+var simRands = sync.Pool{New: func() any { return rand.New(newSeededSource(0)) }}
+
+// simBatch is one posted batch being answered: its workers pull task
+// indices from next, and the last one out delivers the answers.
+type simBatch struct {
+	tasks   []Task
+	answers []Answer
+	seed    int64
+	next    atomic.Int64 // next task index to answer
+	left    atomic.Int32 // workers still running
+	done    chan []Answer
+}
+
+// Post implements Platform: it fans the batch out over min(workers,
+// len(tasks)) goroutines and returns immediately. Task t is answered
+// from its own stream, seeded seed+batch+t·7919, whichever worker takes
+// it — so answers do not depend on the worker count or on scheduling.
 func (sp *SimPlatform) Post(tasks []Task) (int, error) {
-	select {
-	case <-sp.closed:
+	if sp.isClosed() {
 		return 0, ErrPlatformClosed
-	default:
 	}
 	sp.mu.Lock()
 	id := sp.nextID
 	sp.nextID++
-	done := make(chan []Answer, 1)
-	sp.batches[id] = done
-	seed := sp.seed + int64(id)
-	sp.wg.Add(1)
+	b := &simBatch{
+		tasks:   tasks,
+		answers: make([]Answer, len(tasks)),
+		seed:    sp.seed + int64(id),
+		done:    make(chan []Answer, 1),
+	}
+	sp.batches[id] = b.done
+	workers := min(sp.workers, len(tasks))
+	if workers == 0 {
+		b.done <- b.answers
+	}
+	b.left.Store(int32(workers))
+	sp.wg.Add(workers)
 	sp.mu.Unlock()
 
-	go func() {
-		defer sp.wg.Done()
-		answers := make([]Answer, len(tasks))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, sp.workers)
-	fanout:
-		for t := range tasks {
-			select {
-			case <-sp.closed:
-				// Cancelled: stop spawning work; unstarted tasks stay
-				// zero-valued and are dropped below.
-				break fanout
-			default:
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(t int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				// Each simulated worker has her own randomness.
-				rng := rand.New(rand.NewSource(seed + int64(t)*7919))
-				answers[t] = Answer{
-					Task:  tasks[t],
-					Value: sp.base.Preference(rng, tasks[t].I, tasks[t].J),
-				}
-			}(t)
-		}
-		wg.Wait()
-		// Drop never-started tasks so a cancelled batch does not emit
-		// zero-valued answers for work no worker performed.
-		out := answers[:0]
-		for t, a := range answers {
-			if a.Task == tasks[t] {
-				out = append(out, a)
-			}
-		}
-		done <- out
-	}()
+	for w := 0; w < workers; w++ {
+		go sp.answer(b)
+	}
 	return id, nil
+}
+
+// answer is one simulated worker: it answers tasks until the batch runs
+// out or the platform closes, and the last worker to stop delivers.
+func (sp *SimPlatform) answer(b *simBatch) {
+	defer sp.wg.Done()
+	rng := simRands.Get().(*rand.Rand)
+	// A close stops the workers at task granularity; unstarted tasks
+	// stay zero-valued and are dropped below.
+	for !sp.isClosed() {
+		t := int(b.next.Add(1) - 1)
+		if t >= len(b.tasks) {
+			break
+		}
+		rng.Seed(b.seed + int64(t)*7919)
+		b.answers[t] = Answer{
+			Task:  b.tasks[t],
+			Value: sp.base.Preference(rng, b.tasks[t].I, b.tasks[t].J),
+		}
+	}
+	simRands.Put(rng)
+	if b.left.Add(-1) > 0 {
+		return
+	}
+	// Drop never-started tasks so a cancelled batch does not emit
+	// zero-valued answers for work no worker performed.
+	out := b.answers[:0]
+	for t, a := range b.answers {
+		if a.Task == b.tasks[t] {
+			out = append(out, a)
+		}
+	}
+	b.done <- out
 }
 
 // Collect implements Platform.
@@ -463,6 +487,15 @@ func (sp *SimPlatform) Close() error {
 		sp.mu.Unlock()
 	})
 	return nil
+}
+
+func (sp *SimPlatform) isClosed() bool {
+	select {
+	case <-sp.closed:
+		return true
+	default:
+		return false
+	}
 }
 
 // PendingBatches returns the number of posted but uncollected batches —

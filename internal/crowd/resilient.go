@@ -72,11 +72,15 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // task multiset, the valid answers accepted so far, and the inner batch
 // ids still awaiting collection.
 type resBatch struct {
-	tasks    []Task
-	answers  []Answer
-	pending  []int // inner batch ids not yet successfully collected
-	jitter   *rand.Rand
-	attempts int
+	tasks   []Task
+	answers []Answer
+	pending []int // inner batch ids not yet successfully collected
+	// jitter is the backoff jitter stream, seeded from jitterSeed on the
+	// first backoff: a healthy batch never backs off, so it never pays
+	// for seeding one.
+	jitter     *rand.Rand
+	jitterSeed int64
+	attempts   int
 }
 
 // ResilientPlatform makes any Platform survivable: it enforces a
@@ -148,8 +152,8 @@ func (rp *ResilientPlatform) Post(tasks []Task) (int, error) {
 	id := rp.nextID
 	rp.nextID++
 	b := &resBatch{
-		tasks:  append([]Task(nil), tasks...),
-		jitter: rand.New(rand.NewSource(rp.policy.JitterSeed + int64(id)*0x9e37)),
+		tasks:      append([]Task(nil), tasks...),
+		jitterSeed: rp.policy.JitterSeed + int64(id)*0x9e37,
 	}
 	rp.batches[id] = b
 	rp.mu.Unlock()
@@ -357,6 +361,9 @@ func (rp *ResilientPlatform) backoff(b *resBatch) time.Duration {
 	}
 	// Deterministic jitter in [0.5, 1.0): same seed, same batch, same
 	// attempt — same delay, so fault schedules replay identically.
+	if b.jitter == nil {
+		b.jitter = rand.New(rand.NewSource(b.jitterSeed))
+	}
 	return time.Duration((0.5 + 0.5*b.jitter.Float64()) * float64(d))
 }
 

@@ -3,6 +3,8 @@ package crowd
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -119,5 +121,75 @@ func TestReplayThenLivePartialFullyReplayed(t *testing.T) {
 	}
 	if rl.ReplayedServed() != 10 {
 		t.Fatalf("ReplayedServed = %d, want 10", rl.ReplayedServed())
+	}
+}
+
+func TestHoldLogReleasesInHoldOrder(t *testing.T) {
+	held := [][2]int{{4, 5}, {0, 1}, {3, 2}}
+	// want is the log a sequential run makes: the unheld pair first (it
+	// is logged at purchase), then each held pair's purchases in turn.
+	seq := newTestEngine(8, 61)
+	seq.EnableLog()
+	seq.Draw(6, 7, 3)
+	for _, pr := range held {
+		seq.Draw(pr[0], pr[1], 5)
+		seq.DrawOne(pr[1], pr[0])
+	}
+	want := seq.Log()
+
+	for rep := 0; rep < 20; rep++ {
+		e := newTestEngine(8, 61)
+		sink := &captureSink{}
+		e.SetLogSink(sink)
+		h := e.HoldLog(len(held), func(idx int) (int, int) { return held[idx][0], held[idx][1] })
+		var wg sync.WaitGroup
+		for idx := len(held) - 1; idx >= 0; idx-- {
+			pr := held[idx]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e.Draw(pr[0], pr[1], 5)
+				e.DrawOne(pr[1], pr[0])
+			}()
+		}
+		wg.Wait()
+		e.Draw(6, 7, 3)
+		if got := len(e.Log()); got != 3 {
+			t.Fatalf("rep %d: %d records reached the log before Release, want only the 3 unheld", rep, got)
+		}
+		h.Release()
+		if !reflect.DeepEqual(e.Log(), want) {
+			t.Fatalf("rep %d: released log\n%v\nwant\n%v", rep, e.Log(), want)
+		}
+		if !reflect.DeepEqual(sink.recs, want) {
+			t.Fatalf("rep %d: sink saw\n%v\nwant\n%v", rep, sink.recs, want)
+		}
+	}
+}
+
+func TestHoldLogNestedAndDisabled(t *testing.T) {
+	e := newTestEngine(4, 62)
+	pair01 := func(int) (int, int) { return 0, 1 }
+	if h := e.HoldLog(1, pair01); h != nil {
+		t.Fatalf("HoldLog with logging off returned %v, want nil", h)
+	}
+	var none *HeldLog
+	none.Release() // a nil holder is a no-op
+
+	e.EnableLog()
+	outer := e.HoldLog(1, pair01)
+	inner := e.HoldLog(1, func(int) (int, int) { return 1, 0 })
+	e.Draw(0, 1, 4)
+	inner.Release()
+	if got := len(e.Log()); got != 0 {
+		t.Fatalf("pair still held by the outer holder logged %d records", got)
+	}
+	outer.Release()
+	if got := len(e.Log()); got != 4 {
+		t.Fatalf("log holds %d records after the last Release, want 4", got)
+	}
+	e.Draw(0, 1, 2)
+	if got := len(e.Log()); got != 6 {
+		t.Fatalf("released pair logged %d records, want 6", got)
 	}
 }

@@ -16,7 +16,9 @@ type Telemetry struct {
 
 // New returns an enabled telemetry bundle.
 func New() *Telemetry {
-	return &Telemetry{Metrics: NewRegistry(), Trace: NewTracer()}
+	reg, tr := NewRegistry(), NewTracer()
+	tr.dropped = reg.Counter(MSpansDropped)
+	return &Telemetry{Metrics: reg, Trace: tr}
 }
 
 // Registry returns the metrics registry, nil when telemetry is disabled.

@@ -119,6 +119,13 @@ const (
 	// failure ring — the price of keeping chaos runs memory-bounded.
 	MFailuresDropped = "crowdtopk_platform_failures_dropped_total"
 
+	// Tracer (internal/obs).
+
+	// MSpansDropped counts finished spans the tracer's bounded ring
+	// evicted: a trace written after it moved past zero no longer holds
+	// every span of the run.
+	MSpansDropped = "crowdtopk_trace_spans_dropped_total"
+
 	// SLO burn-rate tracker (internal/obs/slo via internal/service). Burn
 	// rates are milli-units (1000 = burning the error budget exactly at
 	// the allowed rate) because the registry is integer-only; states are

@@ -42,9 +42,12 @@ type Span struct {
 // JSON float64 is exact far beyond any realistic TMC.
 func (s Span) Attr(name string) int64 { return int64(s.Attrs[name]) }
 
-// DefaultMaxSpans bounds a tracer's in-memory span store; spans beyond the
-// bound are counted as dropped rather than growing without limit.
-const DefaultMaxSpans = 1 << 20
+// DefaultMaxSpans bounds a tracer's in-memory span store. The store is a
+// ring: once full, each finished span evicts the oldest one, and the
+// eviction is counted as dropped. A long-running service thus keeps its
+// most recent spans at constant memory instead of growing (or freezing
+// on its first spans) forever.
+const DefaultMaxSpans = 1 << 14
 
 // Tracer collects finished spans. Starting a span is one small allocation;
 // finishing appends it under a mutex. A nil *Tracer hands out nil
@@ -54,15 +57,16 @@ type Tracer struct {
 	epoch    time.Time
 	maxSpans int
 	nextID   atomic.Uint64
-	dropped  atomic.Int64
+	dropped  *Counter
 
 	mu    sync.Mutex
-	spans []Span
+	spans []Span // ring of the newest maxSpans spans
+	head  int    // once the ring is full: index of its oldest span
 }
 
 // NewTracer returns an empty tracer whose span clock starts now.
 func NewTracer() *Tracer {
-	return &Tracer{epoch: time.Now(), maxSpans: DefaultMaxSpans}
+	return &Tracer{epoch: time.Now(), maxSpans: DefaultMaxSpans, dropped: new(Counter)}
 }
 
 // Start opens a span under the given parent (0 for a root span). Nil on a
@@ -82,34 +86,37 @@ func (t *Tracer) Start(name string, parent SpanID) *ActiveSpan {
 	}
 }
 
-// Spans returns a copy of the finished spans in completion order.
+// Spans returns a copy of the retained spans — the newest
+// DefaultMaxSpans — in completion order.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
+	out := make([]Span, 0, len(t.spans))
+	return append(append(out, t.spans[t.head:]...), t.spans[:t.head]...)
 }
 
-// Dropped returns how many finished spans were discarded because the
-// tracer was full.
+// Dropped returns how many finished spans the full ring evicted.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped.Load()
+	return t.dropped.Value()
 }
 
 func (t *Tracer) finish(s Span) {
 	t.mu.Lock()
-	if len(t.spans) >= t.maxSpans {
+	if len(t.spans) < t.maxSpans {
+		t.spans = append(t.spans, s)
 		t.mu.Unlock()
-		t.dropped.Add(1)
 		return
 	}
-	t.spans = append(t.spans, s)
+	t.spans[t.head] = s
+	t.head = (t.head + 1) % t.maxSpans
 	t.mu.Unlock()
+	t.dropped.Inc()
 }
 
 // WriteJSONL streams every finished span as one JSON object per line.

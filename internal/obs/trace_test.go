@@ -95,17 +95,36 @@ func TestReadJSONLBadLine(t *testing.T) {
 	}
 }
 
-// TestTracerBound checks the span store stays bounded and counts drops.
+// TestTracerBound checks the span store stays bounded, keeps the newest
+// spans in completion order, and counts evictions.
 func TestTracerBound(t *testing.T) {
 	tr := NewTracer()
 	tr.maxSpans = 3
-	for i := 0; i < 5; i++ {
-		tr.Start("s", 0).End()
+	var ids []SpanID
+	for i := 0; i < 8; i++ {
+		sp := tr.Start("s", 0)
+		ids = append(ids, sp.ID())
+		sp.End()
+		kept := tr.Spans()
+		want := ids[max(0, len(ids)-3):]
+		if len(kept) != len(want) {
+			t.Fatalf("after %d spans: kept %d, want %d", i+1, len(kept), len(want))
+		}
+		for k := range want {
+			if kept[k].ID != want[k] {
+				t.Fatalf("after %d spans: kept ids %v, want %v", i+1, spanIDs(kept), want)
+			}
+		}
 	}
-	if n := len(tr.Spans()); n != 3 {
-		t.Fatalf("kept %d spans, want 3", n)
+	if d := tr.Dropped(); d != 5 {
+		t.Fatalf("dropped = %d, want 5", d)
 	}
-	if d := tr.Dropped(); d != 2 {
-		t.Fatalf("dropped = %d, want 2", d)
+}
+
+func spanIDs(spans []Span) []SpanID {
+	ids := make([]SpanID, len(spans))
+	for i, s := range spans {
+		ids[i] = s.ID
 	}
+	return ids
 }

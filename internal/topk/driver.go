@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"crowdtopk/internal/compare"
+	"crowdtopk/internal/crowd"
 	"crowdtopk/internal/sched"
 )
 
@@ -169,8 +170,8 @@ func drive(r *compare.Runner, p plan) {
 }
 
 // driveWaves is the deterministic mode of drive: lockstep waves with a
-// drain barrier, one latency round per wave, conclusions applied in
-// chain-creation order.
+// drain barrier, one latency round per wave, conclusions and audit
+// records applied in chain-creation order.
 func driveWaves(r *compare.Runner, q *sched.Query, p plan, pump func() []*chain, conclude func(*chain)) {
 	ins := r.Instruments()
 	live := pump()
@@ -184,6 +185,12 @@ func driveWaves(r *compare.Runner, q *sched.Query, p plan, pump func() []*chain,
 			ins.WaveWidthMax.SetMax(int64(len(live)))
 			waveStart = time.Now()
 		}
+		// An inline pool runs the wave in chain order already; a
+		// multi-worker one holds the wave's audit records until the drain.
+		var held *crowd.HeldLog
+		if r.Sched().Workers() > 1 {
+			held = r.Engine().HoldLog(len(live), func(idx int) (int, int) { return live[idx].lo, live[idx].hi })
+		}
 		for _, c := range live {
 			c := c
 			q.Submit(sched.Task{Tag: c.tag, Round: wave, Run: func() {
@@ -191,6 +198,7 @@ func driveWaves(r *compare.Runner, q *sched.Query, p plan, pump func() []*chain,
 			}})
 		}
 		q.Drain(len(live))
+		held.Release()
 		if ins != nil {
 			ins.WaveNs.Add(time.Since(waveStart).Nanoseconds())
 		}

@@ -88,6 +88,42 @@ func TestAlgorithmsParallelEquivalence(t *testing.T) {
 	}
 }
 
+// TestPartitionAsyncMatchesDeterministic pins the async partition to the
+// deterministic one: chains racing on eight workers classify the
+// same items, upgrade the reference at the same point and return the
+// same lists in the same order, whatever the interleaving. Async buys
+// every step deterministic mode buys, plus at most one stale step per
+// racing item at each reference upgrade.
+func TestPartitionAsyncMatchesDeterministic(t *testing.T) {
+	const n, k, step = 40, 5, 30
+	upgrades := 0
+	for seed := int64(901); seed <= 908; seed++ {
+		src := dataset.NewSynthetic(n, 0.3, seed)
+		ref := dataset.Order(src)[3*k]
+		at := func(parallelism int, async bool) (partitionResult, int64) {
+			eng := crowd.NewEngine(src, rand.New(rand.NewSource(seed+2000)))
+			r := compare.NewRunner(eng, compare.NewStudent(0.05),
+				compare.Params{B: 300, I: 30, Step: step, Parallelism: parallelism, Async: async})
+			return partition(r, allItems(n), k, ref, 2), eng.TMC()
+		}
+		want, wantTMC := at(1, false)
+		upgrades += want.refChanges
+		maxTMC := wantTMC + int64(want.refChanges*(n-1)*step)
+		for rep := 0; rep < 5; rep++ {
+			got, tmc := at(8, true)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d rep %d: async partition diverged\n async: %+v\n det:   %+v", seed, rep, got, want)
+			}
+			if tmc < wantTMC || tmc > maxTMC {
+				t.Fatalf("seed %d rep %d: async bought %d microtasks, want %d to %d", seed, rep, tmc, wantTMC, maxTMC)
+			}
+		}
+	}
+	if upgrades == 0 {
+		t.Fatal("no reference upgrade in any run: the test does not exercise the upgrade path")
+	}
+}
+
 // TestParallelAccountingInvariants runs SPR with a full worker pool and
 // checks the ledger arithmetic the concurrent counters must preserve, then
 // repeats under a tight global cap: spending never exceeds it.

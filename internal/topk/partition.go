@@ -1,6 +1,8 @@
 package topk
 
 import (
+	"sync/atomic"
+
 	"crowdtopk/internal/compare"
 	"crowdtopk/internal/sched"
 )
@@ -34,11 +36,17 @@ type partitionResult struct {
 //
 // In deterministic mode the items advance in lockstep passes on the
 // control goroutine, exactly reproducing the historical sequential
-// execution; in async mode each item races the reference as its own
-// free-running chain on the scheduler (partitionAsync).
+// execution. In async mode each item races the reference as its own
+// chain on the scheduler, one step ahead of the passes below (racer),
+// and the passes consume the chains' steps in the same order — so both
+// modes classify the same items, upgrade the reference at the same
+// point and return the same lists.
 func partition(r *compare.Runner, items []int, k, ref, maxRefChanges int) partitionResult {
+	var st stepper = inPlace{r}
 	if r.AsyncMode() {
-		return partitionAsync(r, items, k, ref, maxRefChanges)
+		rc := newRacer(r)
+		defer rc.close()
+		st = rc
 	}
 	var winners, losers []int
 	changes := 0
@@ -54,10 +62,11 @@ func partition(r *compare.Runner, items []int, k, ref, maxRefChanges int) partit
 	var exhausted []int
 
 	for len(active) > 0 {
+		st.begin(active, ref)
 		kept := make([]int, 0, len(active))
 		for idx := 0; idx < len(active); idx++ {
 			o := active[idx]
-			out, done := r.Advance(o, ref)
+			out, done := st.advance(o, ref)
 			if !done {
 				kept = append(kept, o)
 				continue
@@ -90,7 +99,7 @@ func partition(r *compare.Runner, items []int, k, ref, maxRefChanges int) partit
 				break
 			}
 		}
-		r.Tick(1)
+		st.end()
 		active = kept
 	}
 
@@ -109,122 +118,173 @@ func partition(r *compare.Runner, items []int, k, ref, maxRefChanges int) partit
 	return res
 }
 
-// partitionAsync is Algorithm 4 on free-running chains: every item races
-// the current reference as its own comparison process on the shared
-// scheduler, and a decided item immediately frees its pool slot instead
-// of waiting for the round's stragglers. Reference upgrades take effect
-// at each chain's next step: a batch that was in flight against the old
-// reference still counts (its samples are banked per pair), but the
-// chain's continuation — and its classification — happen against the
-// current reference only. Latency is the high-water mark of per-chain
-// rounds.
-func partitionAsync(r *compare.Runner, items []int, k, ref, maxRefChanges int) partitionResult {
+// stepper advances partition's item-vs-reference races, one batch per
+// call to advance. begin opens a pass over the items still racing, end
+// closes it.
+type stepper interface {
+	begin(active []int, ref int)
+	advance(item, ref int) (compare.Outcome, bool)
+	end()
+}
+
+// inPlace is the deterministic stepper: each step runs on the control
+// goroutine when partition asks for it, and a pass is one latency round.
+type inPlace struct{ r *compare.Runner }
+
+func (s inPlace) begin([]int, int) {}
+
+func (s inPlace) advance(item, ref int) (compare.Outcome, bool) { return s.r.Advance(item, ref) }
+
+func (s inPlace) end() { s.r.Tick(1) }
+
+// racer is the async stepper. Every racing item is its own chain on the
+// shared scheduler, and partition consumes the chains' steps in pass
+// order, waiting only when the step it needs is still running. A chain
+// runs one step ahead: as soon as partition consumes an undecided step
+// the next one is submitted, against the current reference, so the pool
+// stays busy while partition waits on a pass's stragglers. A step
+// against a reference partition has since replaced is discarded, and if
+// it has not started yet it is skipped unbought; the chain continues
+// against the current reference.
+//
+// Each item's consumed steps are the same Advance calls, in the same
+// order, that the deterministic stepper makes, and the engine samples
+// each pair from its own stream, so every consumed verdict equals the
+// deterministic one. What differs is the ledger: latency is the
+// high-water mark of per-chain rounds, and a stale step that was already
+// running when the reference changed is paid for.
+type racer struct {
+	r      *compare.Runner
+	q      *sched.Query
+	done   func()
+	ref    atomic.Int64 // the reference partition currently races against
+	races  map[int]*race
+	byTag  []*race
+	busy   int   // steps in flight
+	ticked int64 // rounds already ticked: the deepest chain so far
+}
+
+// race is one item's chain and its one pending step: in flight while
+// running, else finished and not yet consumed while ready.
+type race struct {
+	tag   int64
+	item  int
+	round int64
+	// The pending step: its reference, and the verdict Run reports.
+	ref     int
+	out     compare.Outcome
+	settled bool
+	ran     bool
+	running bool
+	ready   bool
+}
+
+func newRacer(r *compare.Runner) *racer {
 	q, release := r.Borrow()
-	defer release()
+	return &racer{r: r, q: q, done: release, races: make(map[int]*race)}
+}
 
-	var winners, losers, exhausted []int
-	changes := 0
-	cur := ref
+// begin makes sure every item of the pass has a step coming against ref.
+func (rc *racer) begin(active []int, ref int) {
+	rc.ref.Store(int64(ref))
+	for _, o := range active {
+		rc.ensure(rc.race(o))
+	}
+}
 
-	type race struct {
-		item  int
-		ref   int // reference the last submitted batch ran against
-		round int64
-		out   compare.Outcome
-		done  bool
-	}
-	races := make(map[int64]*race)
-	var nextTag, ticked int64
-	inflight := 0
-
-	submit := func(tag int64, rc *race) {
-		rc.ref = cur
-		q.Submit(sched.Task{Tag: tag, Round: rc.round + 1, Run: func() {
-			rc.out, rc.done = r.Advance(rc.item, rc.ref)
-		}})
-		inflight++
-	}
-	start := func(item int) {
-		rc := &race{item: item, round: ticked}
-		tag := nextTag
-		nextTag++
-		races[tag] = rc
-		submit(tag, rc)
-	}
-
-	for _, o := range items {
-		if o != cur {
-			start(o)
-		}
-	}
-	for inflight > 0 {
-		tag := q.Next()
-		inflight--
-		rc := races[tag]
-		// A stopped query's pending steps are dropped by the scheduler and
-		// delivered unrun. Classify such races inline: Advance on a stopped
-		// runner purchases nothing and reports the best-effort verdict, so
-		// the drain terminates instead of resubmitting dropped work forever.
-		if r.Stopped() && (!rc.done || rc.ref != cur) {
-			rc.out, rc.done = r.Advance(rc.item, cur)
-			rc.ref = cur
-		}
-		rc.round++
-		if rc.round > ticked {
-			r.Tick(int(rc.round - ticked))
-			ticked = rc.round
-		}
-		if rc.ref != cur {
-			// The reference was upgraded while this batch was in flight:
-			// whatever the old race concluded, the item must be classified
-			// against the current reference. Its samples are banked, so
-			// the switch costs only the comparisons not yet bought.
-			submit(tag, rc)
-			continue
-		}
-		if !rc.done {
-			submit(tag, rc)
-			continue
-		}
-		delete(races, tag)
-		switch rc.out {
-		case compare.FirstWins:
-			winners = append(winners, rc.item)
-		case compare.SecondWins:
-			losers = append(losers, rc.item)
-		default:
-			exhausted = append(exhausted, rc.item)
-		}
-		if len(winners) == k && changes < maxRefChanges {
-			newRef, ok := estimatedKth(r, winners, cur)
-			if ok {
-				changes++
-				losers = append(losers, cur)
-				winners = removeItem(winners, newRef)
-				cur = newRef
-				// Budget-exhausted ties get a fresh race against the new
-				// reference; in-flight chains pick it up at their next step.
-				for _, o := range exhausted {
-					start(o)
-				}
-				exhausted = nil
+// advance returns the item's next step against ref, waiting for the
+// chain when that step has not finished yet.
+func (rc *racer) advance(item, ref int) (compare.Outcome, bool) {
+	rc.ref.Store(int64(ref))
+	c := rc.race(item)
+	for {
+		rc.ensure(c)
+		if c.ready {
+			c.ready = false
+			out, settled := c.out, c.settled
+			if !settled {
+				rc.submit(c)
 			}
+			return out, settled
 		}
+		rc.collect()
 	}
+}
 
-	res := partitionResult{
-		winners:    winners,
-		ties:       exhausted,
-		losers:     losers,
-		ref:        cur,
-		refChanges: changes,
+func (rc *racer) end() {}
+
+// close waits out any step still in flight and returns the query handle.
+func (rc *racer) close() {
+	for rc.busy > 0 {
+		rc.collect()
 	}
-	if len(res.winners) < k {
-		// Line 13: the reference itself is a top-k candidate.
-		res.winners = append(res.winners, cur)
-		res.refInWinners = true
+	rc.done()
+}
+
+func (rc *racer) race(item int) *race {
+	c := rc.races[item]
+	if c == nil {
+		c = &race{tag: int64(len(rc.byTag)), item: item, round: rc.ticked}
+		rc.races[item] = c
+		rc.byTag = append(rc.byTag, c)
 	}
-	return res
+	return c
+}
+
+// ensure drops the chain's finished step if it raced a replaced
+// reference and, when no step is ready or in flight, submits one.
+func (rc *racer) ensure(c *race) {
+	if c.ready && int64(c.ref) != rc.ref.Load() {
+		c.ready = false
+	}
+	if !c.ready && !c.running {
+		rc.submit(c)
+	}
+}
+
+func (rc *racer) submit(c *race) {
+	c.ref, c.running, c.ran = int(rc.ref.Load()), true, false
+	rc.q.Submit(sched.Task{Tag: c.tag, Round: c.round + 1, Run: func() {
+		if int64(c.ref) != rc.ref.Load() {
+			return // the reference moved on while the step was queued
+		}
+		c.out, c.settled = rc.r.Advance(c.item, c.ref)
+		c.ran = true
+	}})
+	rc.busy++
+}
+
+// collect waits for one step to finish and files it. A step that raced
+// a replaced reference is dropped; the next ensure resubmits its chain.
+func (rc *racer) collect() {
+	c := rc.byTag[rc.q.Next()]
+	rc.busy--
+	c.running = false
+	if int64(c.ref) != rc.ref.Load() {
+		if c.ran {
+			rc.advanceRound(c)
+		}
+		return
+	}
+	if !c.ran {
+		// A stopped query's pending steps are dropped by the scheduler
+		// and delivered unrun. Advance on a stopped runner purchases
+		// nothing and reports the best-effort verdict, so classifying
+		// inline drains the races instead of resubmitting dropped work.
+		c.out, c.settled = rc.r.Advance(c.item, c.ref)
+	}
+	rc.advanceRound(c)
+	c.ready = true
+}
+
+// advanceRound counts one step of the chain and ticks the latency clock
+// when the chain is the deepest so far.
+func (rc *racer) advanceRound(c *race) {
+	c.round++
+	if c.round > rc.ticked {
+		rc.r.Tick(int(c.round - rc.ticked))
+		rc.ticked = c.round
+	}
 }
 
 // estimatedKth returns the winner with the k-th best (here: smallest,

@@ -54,11 +54,18 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error { return t.tel.Registry().Wr
 // WriteVars renders the current metrics snapshot as one JSON object.
 func (t *Telemetry) WriteVars(w io.Writer) error { return t.tel.Registry().WriteVars(w) }
 
-// WriteTrace streams every finished span as JSONL, one span per line —
+// WriteTrace streams the retained spans as JSONL, one span per line —
 // the replayable record of where each microtask went. Aggregating the
 // "tmc" attribute of the phase spans recovers the exact per-phase cost
-// breakdown of the recorded queries.
+// breakdown of the recorded queries, provided TraceDropped is zero: the
+// tracer keeps only its newest obs.DefaultMaxSpans spans.
 func (t *Telemetry) WriteTrace(w io.Writer) error { return t.tel.Tracer().WriteJSONL(w) }
+
+// TraceDropped returns how many finished spans the tracer's bounded ring
+// has evicted (also exported as crowdtopk_trace_spans_dropped_total). A
+// trace written while it is non-zero is missing the oldest spans, so
+// sums over it undercount.
+func (t *Telemetry) TraceDropped() int64 { return t.tel.Tracer().Dropped() }
 
 // Stats returns the cumulative QueryStats since the bundle was created —
 // the all-time view across every query and session it served. WallTimeNs

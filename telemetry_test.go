@@ -264,3 +264,52 @@ func TestSessionIncrementalStats(t *testing.T) {
 		t.Error("second query reports no memo hits despite full reuse")
 	}
 }
+
+// TestTraceReportsDroppedSpans runs a traced query with more comparisons
+// than the tracer's ring holds: the written trace keeps exactly the newest
+// obs.DefaultMaxSpans spans, and the eviction count is visible through
+// TraceDropped and the metrics scrape, so a caller can tell the trace's
+// sums undercount.
+func TestTraceReportsDroppedSpans(t *testing.T) {
+	data := crowdtopk.SyntheticDataset(1500, 0.3, 13)
+	tel := crowdtopk.NewTelemetry()
+	res, err := crowdtopk.Query(data, crowdtopk.Options{
+		K: 700, Algorithm: crowdtopk.HeapSort, Budget: 30, MinWorkload: 30,
+		Confidence: 0.98, Parallelism: 1, Telemetry: tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Comparisons <= obs.DefaultMaxSpans {
+		t.Fatalf("only %d comparisons: the run does not overflow the %d-span ring", res.Stats.Comparisons, obs.DefaultMaxSpans)
+	}
+
+	var buf bytes.Buffer
+	if err := tel.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := obs.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != obs.DefaultMaxSpans {
+		t.Fatalf("trace holds %d spans, want the ring's %d", len(spans), obs.DefaultMaxSpans)
+	}
+	dropped := tel.TraceDropped()
+	if dropped < res.Stats.Comparisons-obs.DefaultMaxSpans {
+		t.Fatalf("TraceDropped = %d, want at least %d", dropped, res.Stats.Comparisons-obs.DefaultMaxSpans)
+	}
+	// The query span finishes last, so the ring still holds it.
+	if spans[len(spans)-1].Name != "query" {
+		t.Errorf("newest span is %q, want the query span", spans[len(spans)-1].Name)
+	}
+
+	var metrics bytes.Buffer
+	if err := tel.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	want := obs.MSpansDropped + " " + strconv.FormatInt(dropped, 10)
+	if !strings.Contains(metrics.String(), want) {
+		t.Errorf("metrics scrape lacks %q", want)
+	}
+}
