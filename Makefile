@@ -59,7 +59,7 @@ bench-json:
 # engine-TMC reconciliation at /debug/accounting, then refreshes the
 # committed BENCH_PR7.json artifact.
 warm-cache:
-	$(GO) run ./cmd/perfcheck -warm-scenario -json BENCH_PR7.json
+	$(GO) run ./cmd/perfcheck -run warm -json BENCH_PR7.json
 
 # Human-readable benchmark deltas against the committed baseline:
 # benchstat when available, a pure-awk median table offline. The actual
@@ -102,29 +102,28 @@ crash-recovery:
 	./scripts/crash_smoke.sh
 
 # Durability-tax benchmark: the same deterministic query with the audit
-# log off, batched (default), and fsync-always, interleaved reps, gated
-# so batched logging costs <5% wall time over no logging. Refreshes the
-# committed BENCH_PR8.json artifact.
+# log off, batched (default), and fsync-always, 7 interleaved reps per
+# mode, gated so batched logging's best rep costs <5% wall time over no
+# logging's best rep. Refreshes the committed BENCH_PR8.json artifact.
 log-bench:
-	$(GO) run ./cmd/perfcheck -log-bench -json BENCH_PR8.json
+	$(GO) run ./cmd/perfcheck -run log -json BENCH_PR8.json
 
 # Explainability-tax benchmark: the same deterministic query with
 # observability off and with per-pair cost attribution plus structured
-# logging enabled, interleaved reps, gated so the enabled mode costs <3%
-# wall time over off with the attribution tree summing exactly to
-# Result.TMC on every rep. Refreshes the committed BENCH_PR9.json.
+# logging enabled, 7 interleaved reps per mode, gated so the enabled
+# mode's best rep costs <3% wall time over off's best rep with the
+# attribution tree summing exactly to Result.TMC on every rep. Refreshes
+# the committed BENCH_PR9.json.
 explain-bench:
-	$(GO) run ./cmd/perfcheck -explain-bench -json BENCH_PR9.json
+	$(GO) run ./cmd/perfcheck -run explain -json BENCH_PR9.json
 
 # Comparison-policy race: every policy × algorithm against the Lemma 1/3
-# infimum. Gates the legacy fixed-step path byte-identical to the
-# pre-refactor loop at <3% wall overhead, requires every grid cell
-# deterministic across reps, and at least one adaptive policy (voi/pac)
-# beating fixed-step Student on TMC-vs-infimum at equal-or-better NDCG.
-# Refreshes the committed BENCH_PR10.json; CI diffs it ignoring the
-# machine-dependent wall-time lines.
+# infimum. Requires every grid cell deterministic across reps, and at
+# least one adaptive policy (voi/pac) beating fixed-step Student on
+# TMC-vs-infimum at equal-or-better NDCG. Refreshes the committed
+# BENCH_PR10.json, which holds no wall-time field; CI diffs it exactly.
 policy-race:
-	$(GO) run ./cmd/perfcheck -policy-race -json BENCH_PR10.json
+	$(GO) run ./cmd/perfcheck -run policy -json BENCH_PR10.json
 
 # Short fuzzing sessions: compareAll's duplicate/orientation grouping,
 # randomized platform fault schedules against the resilience layer, and

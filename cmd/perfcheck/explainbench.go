@@ -1,71 +1,37 @@
 // The attribution overhead bench answers the explainability tax
 // question: how much query wall time does per-pair cost attribution plus
 // structured logging cost when switched on? It runs the same
-// deterministic query in two modes — observability off, and
+// deterministic query (see ab.go) in two modes — observability off, and
 // QueryOptions.Explain with a debug-level structured logger wired
-// through the session — with the reps interleaved so machine-load drift
-// hits both modes equally, takes each mode's best rep, and gates the
-// enabled mode at -explain-max-overhead over off.
+// through the session — and gates the enabled mode at
+// explainBenchMaxOverhead over off, best rep against best rep.
 //
-// The run cross-checks correctness while it measures: every rep must
-// land the same TMC and top-k in both modes (attribution must not
-// perturb the query), and every enabled rep's attribution tree must sum
-// to exactly the query's Result.TMC — the reconciliation invariant under
-// a stopwatch.
+// Its check hook requires every enabled rep's attribution tree to sum to
+// exactly the query's Result.TMC — the reconciliation invariant under a
+// stopwatch.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"reflect"
-	"runtime/debug"
-	"sort"
 	"time"
 
 	"crowdtopk"
 )
 
-// explainBenchMode aggregates one mode's interleaved reps.
-type explainBenchMode struct {
-	Mode         string  `json:"mode"`
-	WallNs       []int64 `json:"wall_ns"`
-	WallNsMin    int64   `json:"wall_ns_min"`
-	WallNsMedian int64   `json:"wall_ns_median"`
-	// Overhead is the fractional slowdown of this mode's best rep over
-	// the off mode's best rep (0 for off itself); best-of because ambient
-	// load only ever adds wall time.
-	Overhead float64 `json:"overhead"`
-	// Leaves is the attribution tree's distinct pair count from the last
-	// enabled rep (absent for off).
-	Leaves int `json:"leaves,omitempty"`
-}
-
-// explainBenchReport is the BENCH_PR9.json artifact shape.
-type explainBenchReport struct {
-	Items       int     `json:"items"`
-	Noise       float64 `json:"noise"`
-	Seed        int64   `json:"seed"`
-	K           int     `json:"k"`
-	Budget      int     `json:"budget_per_pair"`
-	Confidence  float64 `json:"confidence"`
-	Reps        int     `json:"reps"`
-	MaxOverhead float64 `json:"max_overhead"`
-
-	TMC   int64              `json:"tmc"`
-	TopK  []int              `json:"top_k"`
-	Modes []explainBenchMode `json:"modes"`
-}
+const (
+	explainBenchReps        = 7
+	explainBenchMaxOverhead = 0.03
+)
 
 // runExplainBenchOnce executes the fixed query once. With enabled set,
 // per-pair attribution records every charge and a debug-level structured
 // logger is wired through the session's execution stack; the logger
 // writes to io.Discard so the measurement isolates the observability
-// bookkeeping, not disk throughput. Returns the result, the attributed
-// total (0 when off) and leaf count, and the wall time.
-func runExplainBenchOnce(rep *explainBenchReport, enabled bool) (crowdtopk.Result, int64, int, int64, error) {
+// bookkeeping, not disk throughput. Returns the result, the attribution
+// tree (empty when off) and the wall time.
+func runExplainBenchOnce(rep *abReport, enabled bool) (crowdtopk.Result, *crowdtopk.CostTree, int64, error) {
 	d := crowdtopk.SyntheticDataset(rep.Items, rep.Noise, 80)
 	oracle := crowdtopk.WrapPlatformResilient(d.NumItems(),
 		crowdtopk.SimulatedPlatform(d, 8, 81), crowdtopk.ResilienceOptions{})
@@ -74,14 +40,14 @@ func runExplainBenchOnce(rep *explainBenchReport, enabled bool) (crowdtopk.Resul
 		Parallelism: 1, // one comparison chain: TMC must be bit-identical across reps
 	})
 	if err != nil {
-		return crowdtopk.Result{}, 0, 0, 0, err
+		return crowdtopk.Result{}, nil, 0, err
 	}
 	defer sess.Close()
 	qo := crowdtopk.QueryOptions{}
 	if enabled {
 		lg, err := crowdtopk.NewLogger(io.Discard, "debug")
 		if err != nil {
-			return crowdtopk.Result{}, 0, 0, 0, err
+			return crowdtopk.Result{}, nil, 0, err
 		}
 		sess.SetLogger(lg)
 		qo.Explain = true
@@ -89,133 +55,45 @@ func runExplainBenchOnce(rep *explainBenchReport, enabled bool) (crowdtopk.Resul
 	start := time.Now()
 	h, err := sess.StartTopK(context.Background(), rep.K, qo)
 	if err != nil {
-		return crowdtopk.Result{}, 0, 0, 0, err
+		return crowdtopk.Result{}, nil, 0, err
 	}
 	res, err := h.Wait()
 	wall := time.Since(start).Nanoseconds()
 	if err != nil {
-		return crowdtopk.Result{}, 0, 0, 0, err
+		return crowdtopk.Result{}, nil, 0, err
 	}
-	tree := h.Explain()
-	return res, tree.TMC, tree.Pairs, wall, nil
+	return res, h.Explain(), wall, nil
 }
 
-// runExplainBench runs the interleaved mix and returns the report, or an
-// error naming the first violated gate.
-func runExplainBench(reps int, maxOverhead float64) (*explainBenchReport, error) {
-	// Same tiny-heap GC pinning rationale as the log bench: the ratio
-	// should measure the attribution work, not a GC-cycle multiplier a
-	// long-lived daemon heap would never see.
-	old := debug.SetGCPercent(400)
-	defer debug.SetGCPercent(old)
-	rep := &explainBenchReport{
+// explainBench returns the explainability-tax bench.
+func explainBench() abBench {
+	rep := &abReport{
 		Items: 60, Noise: 0.25, Seed: 85, K: 8, Budget: 400, Confidence: 0.95,
-		Reps: reps, MaxOverhead: maxOverhead,
+		Reps: explainBenchReps, MaxOverhead: explainBenchMaxOverhead,
 	}
-	rep.TMC = -1
-	walls := make(map[string][]int64)
-	leaves := 0
-
-	modes := []struct {
-		name    string
-		enabled bool
-	}{{"off", false}, {"explain+log", true}}
-
-	for i := 0; i < reps; i++ {
-		for _, m := range modes {
-			res, attributed, pairs, wall, err := runExplainBenchOnce(rep, m.enabled)
-			if err != nil {
-				return nil, fmt.Errorf("%s rep %d: %w", m.name, i, err)
+	// tree is the attribution tree of the run in flight, handed from run
+	// to the check hook the driver calls right after it.
+	var tree *crowdtopk.CostTree
+	return abBench{
+		name:   "explain-bench",
+		report: rep,
+		modes:  []string{"off", "explain+log"},
+		gated:  "explain+log",
+		run: func(mode string) (crowdtopk.Result, int64, error) {
+			res, t, wall, err := runExplainBenchOnce(rep, mode != "off")
+			tree = t
+			return res, wall, err
+		},
+		check: func(mode string, res crowdtopk.Result, m *abMode) error {
+			if mode == "off" {
+				return nil
 			}
-			walls[m.name] = append(walls[m.name], wall)
-
-			// Determinism gate: attribution must not perturb the query.
-			if rep.TMC < 0 {
-				rep.TMC, rep.TopK = res.TMC, res.TopK
-			} else if res.TMC != rep.TMC || !reflect.DeepEqual(res.TopK, rep.TopK) {
-				return nil, fmt.Errorf("%s rep %d: tmc %d top-k %v diverged from tmc %d top-k %v — attribution changed the query",
-					m.name, i, res.TMC, res.TopK, rep.TMC, rep.TopK)
-			}
-
 			// Reconciliation gate: the tree sums to the meter, exactly.
-			if m.enabled {
-				if attributed != res.TMC {
-					return nil, fmt.Errorf("%s rep %d: attributed %d != Result.TMC %d",
-						m.name, i, attributed, res.TMC)
-				}
-				leaves = pairs
+			if tree.TMC != res.TMC {
+				return fmt.Errorf("attributed %d != Result.TMC %d", tree.TMC, res.TMC)
 			}
-		}
-	}
-
-	median := func(ns []int64) int64 {
-		s := append([]int64{}, ns...)
-		sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-		return s[len(s)/2]
-	}
-	min := func(ns []int64) int64 {
-		best := ns[0]
-		for _, v := range ns[1:] {
-			if v < best {
-				best = v
-			}
-		}
-		return best
-	}
-	base := min(walls["off"])
-	for _, m := range modes {
-		em := explainBenchMode{
-			Mode: m.name, WallNs: walls[m.name],
-			WallNsMin: min(walls[m.name]), WallNsMedian: median(walls[m.name]),
-		}
-		if m.enabled {
-			em.Leaves = leaves
-			if base > 0 {
-				em.Overhead = float64(em.WallNsMin)/float64(base) - 1
-			}
-		}
-		rep.Modes = append(rep.Modes, em)
-	}
-
-	// The PR's perf gate: attribution plus logging must cost under
-	// maxOverhead of the off wall time, best rep against best rep.
-	for _, em := range rep.Modes {
-		if em.Mode == "explain+log" && em.Overhead > maxOverhead {
-			return rep, fmt.Errorf("attribution+logging costs %.1f%% over off (gate %.0f%%)",
-				100*em.Overhead, 100*maxOverhead)
-		}
-	}
-	return rep, nil
-}
-
-func explainBenchMain(jsonOut string, reps int, maxOverhead float64) {
-	report, err := runExplainBench(reps, maxOverhead)
-	if report != nil {
-		for _, em := range report.Modes {
-			extra := ""
-			if em.Mode != "off" {
-				extra = fmt.Sprintf("  %+6.1f%%  %d attribution leaves", 100*em.Overhead, em.Leaves)
-			}
-			fmt.Printf("perfcheck: explain-bench %-12s best %8.2fms  median %8.2fms over %d reps%s\n",
-				em.Mode, float64(em.WallNsMin)/1e6, float64(em.WallNsMedian)/1e6, len(em.WallNs), extra)
-		}
-		fmt.Printf("perfcheck: explain-bench: tmc %d identical and fully attributed across %d runs, gate explain+log <= %.0f%% over off\n",
-			report.TMC, report.Reps*2, 100*report.MaxOverhead)
-		if jsonOut != "" {
-			data, merr := json.MarshalIndent(report, "", "  ")
-			if merr == nil {
-				data = append(data, '\n')
-				if werr := os.WriteFile(jsonOut, data, 0o644); werr == nil {
-					fmt.Printf("perfcheck: wrote explain-bench report to %s\n", jsonOut)
-				} else {
-					fmt.Fprintf(os.Stderr, "perfcheck: writing %s: %v\n", jsonOut, werr)
-					os.Exit(1)
-				}
-			}
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perfcheck: explain-bench: %v\n", err)
-		os.Exit(1)
+			m.Leaves = tree.Pairs
+			return nil
+		},
 	}
 }

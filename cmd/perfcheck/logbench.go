@@ -1,75 +1,35 @@
 // The audit-log overhead bench answers the durability tax question: how
 // much query wall time does streaming every purchased microtask into the
-// persistent audit log cost? It runs the same deterministic query in
-// three modes — no log, the batched default (bounded commit queue,
-// interval fsync), and fsync-always — with the reps interleaved so a
-// machine-load drift hits every mode equally, takes each mode's best
-// rep (load only ever adds wall time, so the minimum is the intrinsic
-// cost), and gates the batched mode at -log-max-overhead over no-log.
-// Medians are recorded alongside for spread. The
+// persistent audit log cost? It runs the same deterministic query (see
+// ab.go) in three modes — no log, the batched default (bounded commit
+// queue, interval fsync), and fsync-always — and gates the batched mode
+// at logBenchMaxOverhead over no-log, best rep against best rep. The
 // fsync-always column is reported but not gated: paying a sync per batch
 // is a policy choice, not a regression.
 //
-// The run also cross-checks correctness while it measures: every rep in
-// every mode must land the same TMC and top-k (the sink must not perturb
-// the query), and each logging rep's directory must hold exactly TMC
-// records and pass Verify.
+// Its check hook requires each logging rep's directory to hold exactly
+// TMC records and pass Verify.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
-	"runtime/debug"
-	"sort"
 	"time"
 
 	"crowdtopk"
 )
 
-// logBenchMode aggregates one mode's interleaved reps.
-type logBenchMode struct {
-	Mode         string  `json:"mode"`
-	WallNs       []int64 `json:"wall_ns"`
-	WallNsMin    int64   `json:"wall_ns_min"`
-	WallNsMedian int64   `json:"wall_ns_median"`
-	// Overhead is the fractional slowdown of this mode's best rep over
-	// the no-log mode's best rep (0 for the no-log mode itself). Best-of
-	// is the estimator because ambient machine load only ever adds wall
-	// time — the minimum is each mode's intrinsic cost, while medians
-	// drift with whatever else the host is running.
-	Overhead float64 `json:"overhead"`
-	// Records is the on-disk record count of the last rep's directory
-	// (absent for the no-log mode); it must equal TMC.
-	Records int64 `json:"records,omitempty"`
-}
-
-// logBenchReport is the BENCH_PR8.json artifact shape.
-type logBenchReport struct {
-	Items       int     `json:"items"`
-	Noise       float64 `json:"noise"`
-	Seed        int64   `json:"seed"`
-	K           int     `json:"k"`
-	Budget      int     `json:"budget_per_pair"`
-	Confidence  float64 `json:"confidence"`
-	Reps        int     `json:"reps"`
-	MaxOverhead float64 `json:"max_overhead"`
-
-	TMC   int64          `json:"tmc"`
-	TopK  []int          `json:"top_k"`
-	Modes []logBenchMode `json:"modes"`
-}
+const (
+	logBenchReps        = 7
+	logBenchMaxOverhead = 0.05
+)
 
 // logBenchSync maps a bench mode onto the audit log's fsync policy; the
-// empty mode name means no audit log at all.
-var logBenchModes = []struct {
-	name string
-	sync crowdtopk.AuditSyncPolicy
-}{
-	{"off", ""},
-	{"batched", crowdtopk.AuditSyncInterval},
-	{"fsync-always", crowdtopk.AuditSyncAlways},
+// off mode has no audit log at all.
+var logBenchSync = map[string]crowdtopk.AuditSyncPolicy{
+	"off":          "",
+	"batched":      crowdtopk.AuditSyncInterval,
+	"fsync-always": crowdtopk.AuditSyncAlways,
 }
 
 // runLogBenchOnce executes the fixed query once, logging into dir when
@@ -79,7 +39,7 @@ var logBenchModes = []struct {
 // per-microtask cost, not against a bare in-memory table lookup. The
 // platform seeds each batch by its post id and each answer by its task
 // index, so a single comparison chain stays bit-identical across reps.
-func runLogBenchOnce(rep *logBenchReport, dir string, sync crowdtopk.AuditSyncPolicy) (crowdtopk.Result, int64, error) {
+func runLogBenchOnce(rep *abReport, dir string, sync crowdtopk.AuditSyncPolicy) (crowdtopk.Result, int64, error) {
 	d := crowdtopk.SyntheticDataset(rep.Items, rep.Noise, 70)
 	oracle := crowdtopk.WrapPlatformResilient(d.NumItems(),
 		crowdtopk.SimulatedPlatform(d, 8, 71), crowdtopk.ResilienceOptions{})
@@ -110,7 +70,7 @@ func runLogBenchOnce(rep *logBenchReport, dir string, sync crowdtopk.AuditSyncPo
 	}
 	if alog != nil {
 		// Close flushes the commit queue and writes the final checkpoint;
-		// a dropped record would surface as a short directory below.
+		// a dropped record would surface as a short directory in the check.
 		if err := alog.Close(); err != nil {
 			return crowdtopk.Result{}, 0, err
 		}
@@ -118,140 +78,53 @@ func runLogBenchOnce(rep *logBenchReport, dir string, sync crowdtopk.AuditSyncPo
 	return res, wall, nil
 }
 
-// runLogBench runs the interleaved mix and returns the report, or an
-// error naming the first violated gate.
-func runLogBench(reps int, maxOverhead float64) (*logBenchReport, error) {
-	// The bench's live heap is ~1MB, so at the default GOGC every couple
-	// of MB a mode allocates becomes a whole extra GC cycle — an
-	// amplification a long-lived topkd heap doesn't have. Pin a higher
-	// target (identically for every mode, no-log included) so the ratio
-	// measures the logging work itself; logging still pays its
-	// proportional GC share, just not the tiny-heap multiplier.
-	old := debug.SetGCPercent(400)
-	defer debug.SetGCPercent(old)
-	rep := &logBenchReport{
+// logBench returns the durability-tax bench.
+func logBench() abBench {
+	rep := &abReport{
 		Items: 60, Noise: 0.25, Seed: 75, K: 8, Budget: 400, Confidence: 0.95,
-		Reps: reps, MaxOverhead: maxOverhead,
+		Reps: logBenchReps, MaxOverhead: logBenchMaxOverhead,
 	}
-	rep.TMC = -1
-	walls := make(map[string][]int64)
-	records := make(map[string]int64)
-
-	for i := 0; i < reps; i++ {
-		for _, m := range logBenchModes {
-			dir, err := os.MkdirTemp("", "logbench-")
-			if err != nil {
-				return nil, err
+	// dir is the run in flight's directory: run creates it, and check (the
+	// driver calls it right after each successful run) removes it.
+	var dir string
+	return abBench{
+		name:   "log-bench",
+		report: rep,
+		modes:  []string{"off", "batched", "fsync-always"},
+		gated:  "batched",
+		run: func(mode string) (crowdtopk.Result, int64, error) {
+			var err error
+			if dir, err = os.MkdirTemp("", "logbench-"); err != nil {
+				return crowdtopk.Result{}, 0, err
 			}
-			res, wall, err := runLogBenchOnce(rep, dir, m.sync)
+			res, wall, err := runLogBenchOnce(rep, dir, logBenchSync[mode])
 			if err != nil {
 				os.RemoveAll(dir)
-				return nil, fmt.Errorf("%s rep %d: %w", m.name, i, err)
 			}
-			walls[m.name] = append(walls[m.name], wall)
-
-			// Determinism gate: the sink must not perturb the query.
-			if rep.TMC < 0 {
-				rep.TMC, rep.TopK = res.TMC, res.TopK
-			} else if res.TMC != rep.TMC || !reflect.DeepEqual(res.TopK, rep.TopK) {
-				os.RemoveAll(dir)
-				return nil, fmt.Errorf("%s rep %d: tmc %d top-k %v diverged from tmc %d top-k %v — logging changed the query",
-					m.name, i, res.TMC, res.TopK, rep.TMC, rep.TopK)
+			return res, wall, err
+		},
+		check: func(mode string, res crowdtopk.Result, m *abMode) error {
+			defer os.RemoveAll(dir)
+			if logBenchSync[mode] == "" {
+				return nil
 			}
-
 			// Completeness gate: every purchased microtask reached disk.
-			if m.sync != "" {
-				got, err := crowdtopk.LoadAuditLog(dir)
-				if err != nil {
-					os.RemoveAll(dir)
-					return nil, fmt.Errorf("%s rep %d: reloading log: %w", m.name, i, err)
-				}
-				if int64(len(got)) != res.TMC {
-					os.RemoveAll(dir)
-					return nil, fmt.Errorf("%s rep %d: directory holds %d records, query spent %d",
-						m.name, i, len(got), res.TMC)
-				}
-				vr, err := crowdtopk.VerifyAuditLog(dir)
-				if err != nil {
-					os.RemoveAll(dir)
-					return nil, fmt.Errorf("%s rep %d: verify: %w", m.name, i, err)
-				}
-				if !vr.OK {
-					os.RemoveAll(dir)
-					return nil, fmt.Errorf("%s rep %d: directory fails verification: first bad %s", m.name, i, vr.FirstBad)
-				}
-				records[m.name] = int64(len(got))
+			got, err := crowdtopk.LoadAuditLog(dir)
+			if err != nil {
+				return fmt.Errorf("reloading log: %w", err)
 			}
-			os.RemoveAll(dir)
-		}
-	}
-
-	median := func(ns []int64) int64 {
-		s := append([]int64{}, ns...)
-		sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-		return s[len(s)/2]
-	}
-	min := func(ns []int64) int64 {
-		best := ns[0]
-		for _, v := range ns[1:] {
-			if v < best {
-				best = v
+			if int64(len(got)) != res.TMC {
+				return fmt.Errorf("directory holds %d records, query spent %d", len(got), res.TMC)
 			}
-		}
-		return best
-	}
-	base := min(walls["off"])
-	for _, m := range logBenchModes {
-		lm := logBenchMode{
-			Mode: m.name, WallNs: walls[m.name],
-			WallNsMin: min(walls[m.name]), WallNsMedian: median(walls[m.name]),
-			Records: records[m.name],
-		}
-		if m.name != "off" && base > 0 {
-			lm.Overhead = float64(lm.WallNsMin)/float64(base) - 1
-		}
-		rep.Modes = append(rep.Modes, lm)
-	}
-
-	// The PR's perf gate: batched logging must cost under maxOverhead of
-	// the no-log wall time, best rep against best rep.
-	for _, lm := range rep.Modes {
-		if lm.Mode == "batched" && lm.Overhead > maxOverhead {
-			return rep, fmt.Errorf("batched logging costs %.1f%% over no-log (gate %.0f%%)",
-				100*lm.Overhead, 100*maxOverhead)
-		}
-	}
-	return rep, nil
-}
-
-func logBenchMain(jsonOut string, reps int, maxOverhead float64) {
-	report, err := runLogBench(reps, maxOverhead)
-	if report != nil {
-		for _, lm := range report.Modes {
-			extra := ""
-			if lm.Mode != "off" {
-				extra = fmt.Sprintf("  %+6.1f%%  %d records on disk", 100*lm.Overhead, lm.Records)
+			vr, err := crowdtopk.VerifyAuditLog(dir)
+			if err != nil {
+				return fmt.Errorf("verify: %w", err)
 			}
-			fmt.Printf("perfcheck: log-bench %-12s best %8.2fms  median %8.2fms over %d reps%s\n",
-				lm.Mode, float64(lm.WallNsMin)/1e6, float64(lm.WallNsMedian)/1e6, len(lm.WallNs), extra)
-		}
-		fmt.Printf("perfcheck: log-bench: tmc %d identical across %d runs, gate batched <= %.0f%% over off\n",
-			report.TMC, report.Reps*len(logBenchModes), 100*report.MaxOverhead)
-		if jsonOut != "" {
-			data, merr := json.MarshalIndent(report, "", "  ")
-			if merr == nil {
-				data = append(data, '\n')
-				if werr := os.WriteFile(jsonOut, data, 0o644); werr == nil {
-					fmt.Printf("perfcheck: wrote log-bench report to %s\n", jsonOut)
-				} else {
-					fmt.Fprintf(os.Stderr, "perfcheck: writing %s: %v\n", jsonOut, werr)
-					os.Exit(1)
-				}
+			if !vr.OK {
+				return fmt.Errorf("directory fails verification: first bad %s", vr.FirstBad)
 			}
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perfcheck: log-bench: %v\n", err)
-		os.Exit(1)
+			m.Records = int64(len(got))
+			return nil
+		},
 	}
 }

@@ -29,37 +29,18 @@
 //	perfcheck -current bench.txt \
 //	  -metric-gate 'util:BenchmarkSchedulerStraggler/async>BenchmarkSchedulerStraggler/wave'
 //
-// With -warm-scenario, perfcheck instead runs the judgment-store
-// cold-vs-warm query mix in-process (see scenario.go) and gates warm TMC
-// against -warm-max-ratio with byte-identical top-k results:
+// With -run, perfcheck instead runs one in-process scenario, gates it and
+// writes its report to -json; each scenario's file describes its gates:
 //
-//	perfcheck -warm-scenario -json BENCH_PR7.json
+//	perfcheck -run warm -json BENCH_PR7.json     # judgment-store cold vs warm TMC (scenario.go)
+//	perfcheck -run log -json BENCH_PR8.json      # audit-log durability tax (logbench.go)
+//	perfcheck -run explain -json BENCH_PR9.json  # attribution+logging tax (explainbench.go)
+//	perfcheck -run policy -json BENCH_PR10.json  # comparison-policy race (policyrace.go)
 //
-// With -log-bench, perfcheck measures the audit log's durability tax
-// in-process (see logbench.go): the same deterministic query with no
-// log, batched logging and fsync-always, interleaved reps reduced to
-// medians, gating batched at -log-max-overhead over no-log with
-// identical TMC everywhere and every record on disk:
-//
-//	perfcheck -log-bench -json BENCH_PR8.json
-//
-// With -explain-bench, perfcheck measures the explainability tax (see
-// explainbench.go): the same deterministic query with observability off
-// and with per-pair cost attribution plus structured logging enabled,
-// gating the enabled mode at -explain-max-overhead over off with
-// identical TMC/top-k and the attribution tree summing exactly to the
-// query's Result.TMC on every rep:
-//
-//	perfcheck -explain-bench -json BENCH_PR9.json
-//
-// With -policy-race, perfcheck races every comparison policy × algorithm
-// against the Lemma 1/3 infimum (see policyrace.go): the legacy
-// fixed-step path is gated byte-identical to the pre-refactor loop at
-// <-policy-max-overhead wall overhead, every cell must be deterministic
-// across reps, and at least one adaptive policy must beat fixed-step
-// Student on TMC-vs-infimum at equal-or-better NDCG:
-//
-//	perfcheck -policy-race -json BENCH_PR10.json
+// log and explain share one interleaved A/B driver (ab.go): 7 reps per
+// mode, each mode's best rep gated against the off mode's best rep
+// (batched logging at 5%, attribution+logging at 3%), with identical TMC
+// and top-k on every run.
 package main
 
 import (
@@ -235,42 +216,54 @@ func gateMetrics(current []result, spec string) error {
 	return nil
 }
 
+// writeJSON writes v to path as indented JSON with a trailing newline and
+// reports the write on stdout; an empty path writes nothing.
+func writeJSON(path string, v any) error {
+	if path == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return fmt.Errorf("encoding %s: %w", path, err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("perfcheck: wrote %s\n", path)
+	return nil
+}
+
+// fatalf reports a failure on stderr and exits 1.
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "perfcheck: "+format+"\n", args...)
+	os.Exit(1)
+}
+
 func main() {
 	var (
-		jsonOut    = flag.String("json", "", "write parsed results as JSON to this file")
+		jsonOut    = flag.String("json", "", "write parsed results (or the -run report) as JSON to this file")
 		baseline   = flag.String("baseline", "", "baseline bench output to gate against")
 		current    = flag.String("current", "", "candidate bench output (default: stdin)")
 		maxRegress = flag.Float64("max-regress", 0.10, "maximum tolerated ns/op slowdown fraction")
 		statsIn    = flag.String("stats", "", "QueryStats JSON (topkquery -stats-out) to fold into the -json artifact")
 		metricGate = flag.String("metric-gate", "", "comma-separated 'metric:benchA>benchB' assertions on the current run: benchA's custom metric must strictly exceed benchB's (e.g. 'util:BenchmarkX/async>BenchmarkX/wave')")
-		warmScen   = flag.Bool("warm-scenario", false, "run the cold-vs-warm judgment-store query mix instead of parsing bench output; gates warm TMC and byte-identical top-k, writes the report to -json")
-		warmRatio  = flag.Float64("warm-max-ratio", 0.20, "maximum tolerated warm/cold TMC ratio for -warm-scenario")
-		logBench   = flag.Bool("log-bench", false, "measure audit-log overhead (off vs batched vs fsync-always) on one deterministic query; gates batched at -log-max-overhead over no-log, writes the report to -json")
-		logReps    = flag.Int("log-reps", 7, "interleaved repetitions per mode for -log-bench (medians absorb noise)")
-		logMaxOver = flag.Float64("log-max-overhead", 0.05, "maximum tolerated batched-logging wall-time overhead fraction for -log-bench")
-		expBench   = flag.Bool("explain-bench", false, "measure cost-attribution + structured-logging overhead (off vs explain+log) on one deterministic query; gates the enabled mode at -explain-max-overhead over off, writes the report to -json")
-		expReps    = flag.Int("explain-reps", 7, "interleaved repetitions per mode for -explain-bench (best-of absorbs noise)")
-		expMaxOver = flag.Float64("explain-max-overhead", 0.03, "maximum tolerated attribution+logging wall-time overhead fraction for -explain-bench")
-		polRace    = flag.Bool("policy-race", false, "race all comparison policies × algorithms against the Lemma 1/3 infimum; gates legacy-policy overhead, per-cell determinism and adaptive dominance, writes the report to -json")
-		raceReps   = flag.Int("race-reps", 3, "repetitions per mode/cell for -policy-race (overhead best-of, determinism cross-check)")
-		polMaxOver = flag.Float64("policy-max-overhead", 0.03, "maximum tolerated policy-layer wall-time overhead on the legacy fixed-step path for -policy-race")
+		scenario   = flag.String("run", "", "run one in-process scenario instead of parsing bench output, writing its report to -json: warm (judgment-store cold-vs-warm mix), log (audit-log durability tax), explain (attribution+logging tax) or policy (comparison-policy race)")
 	)
 	flag.Parse()
 
-	if *warmScen {
-		scenarioMain(*jsonOut, *warmRatio)
-		return
+	scenarios := map[string]func(jsonOut string){
+		"warm":    scenarioMain,
+		"log":     func(out string) { abMain(out, logBench()) },
+		"explain": func(out string) { abMain(out, explainBench()) },
+		"policy":  policyRaceMain,
 	}
-	if *logBench {
-		logBenchMain(*jsonOut, *logReps, *logMaxOver)
-		return
-	}
-	if *expBench {
-		explainBenchMain(*jsonOut, *expReps, *expMaxOver)
-		return
-	}
-	if *polRace {
-		policyRaceMain(*jsonOut, *raceReps, *polMaxOver)
+	if *scenario != "" {
+		run, ok := scenarios[*scenario]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "perfcheck: unknown -run %q (available: warm, log, explain, policy)\n", *scenario)
+			os.Exit(2)
+		}
+		run(*jsonOut)
 		return
 	}
 
@@ -278,13 +271,11 @@ func main() {
 	if *statsIn != "" {
 		data, err := os.ReadFile(*statsIn)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfcheck: reading stats: %v\n", err)
-			os.Exit(1)
+			fatalf("reading stats: %v", err)
 		}
 		stats = &crowdtopk.QueryStats{}
 		if err := json.Unmarshal(data, stats); err != nil {
-			fmt.Fprintf(os.Stderr, "perfcheck: parsing stats %s: %v\n", *statsIn, err)
-			os.Exit(1)
+			fatalf("parsing stats %s: %v", *statsIn, err)
 		}
 		fmt.Printf("perfcheck: query stats: %d microtasks, %d rounds, %.1fms wall",
 			stats.TMC, stats.Rounds, float64(stats.WallTimeNs)/1e6)
@@ -306,61 +297,45 @@ func main() {
 		cur, err = parse(os.Stdin)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "perfcheck: parsing current results: %v\n", err)
-		os.Exit(1)
+		fatalf("parsing current results: %v", err)
 	}
 	if len(cur) == 0 {
-		fmt.Fprintln(os.Stderr, "perfcheck: no benchmark results found in input")
-		os.Exit(1)
+		fatalf("no benchmark results found in input")
 	}
 
-	if *jsonOut != "" {
-		// Without -stats the artifact stays the historical plain array, so
-		// older trajectory files and their consumers keep parsing.
-		var payload any = cur
-		if stats != nil {
-			payload = struct {
-				Benchmarks []result              `json:"benchmarks"`
-				QueryStats *crowdtopk.QueryStats `json:"query_stats"`
-			}{cur, stats}
-		}
-		data, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfcheck: encoding JSON: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "perfcheck: writing %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("perfcheck: wrote %d benchmark results to %s\n", len(cur), *jsonOut)
+	// Without -stats the artifact stays the historical plain array, so
+	// older trajectory files and their consumers keep parsing.
+	var payload any = cur
+	if stats != nil {
+		payload = struct {
+			Benchmarks []result              `json:"benchmarks"`
+			QueryStats *crowdtopk.QueryStats `json:"query_stats"`
+		}{cur, stats}
+	}
+	if err := writeJSON(*jsonOut, payload); err != nil {
+		fatalf("%v", err)
 	}
 
 	if *metricGate != "" {
 		if err := gateMetrics(cur, *metricGate); err != nil {
-			fmt.Fprintf(os.Stderr, "perfcheck: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 	}
 
 	if *baseline != "" {
 		base, err := parseFile(*baseline)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfcheck: parsing baseline: %v\n", err)
-			os.Exit(1)
+			fatalf("parsing baseline: %v", err)
 		}
 		lines, failed := gate(base, cur, *maxRegress)
 		if len(lines) == 0 {
-			fmt.Fprintln(os.Stderr, "perfcheck: baseline and current share no benchmarks")
-			os.Exit(1)
+			fatalf("baseline and current share no benchmarks")
 		}
 		for _, l := range lines {
 			fmt.Println(l)
 		}
 		if failed {
-			fmt.Fprintf(os.Stderr, "perfcheck: benchmarks regressed more than %.0f%%\n", 100**maxRegress)
-			os.Exit(1)
+			fatalf("benchmarks regressed more than %.0f%%", 100**maxRegress)
 		}
 		fmt.Printf("perfcheck: %d benchmarks within %.0f%% of baseline\n", len(lines), 100**maxRegress)
 	}

@@ -1,101 +1,27 @@
-// The policy race answers the refactor's two headline questions in one
-// artifact (BENCH_PR10.json):
+// The policy race answers whether the adaptive comparison policies earn
+// their keep (BENCH_PR10.json). A grid of datasets × algorithms ×
+// policies runs full queries and scores each cell by TMC against the
+// Lemma 1/3 infimum (internal/topk) at measured NDCG. Every cell is
+// repeated with the same seed and must be deterministic (identical TMC
+// and top-k across reps); the race gate requires at least one cell where
+// an adaptive policy (voi or pac) beats fixed-step Student on
+// TMC-vs-infimum at equal-or-better NDCG.
 //
-//  1. What does the policy layer cost the legacy estimators? The same
-//     all-pairs comparison workload runs through two loops embedded here
-//     that are identical except for who sizes each purchase: the
-//     pre-refactor loop with the schedule hard-wired, and the policy
-//     loop asking the FixedStep adapter through the Policy interface —
-//     the exact decision the refactor virtualized, isolated from the
-//     Runner's unchanged memo/instrumentation machinery. Interleaved
-//     reps, byte-identical verdicts and TMC required, wall overhead
-//     gated at -policy-max-overhead (default 3%).
-//
-//  2. Do the adaptive policies earn their keep? A grid of datasets ×
-//     algorithms × policies runs full queries and scores each cell by
-//     TMC against the Lemma 1/3 infimum (internal/topk) at measured
-//     NDCG. Every cell is repeated with the same seed and must be
-//     deterministic (identical TMC and top-k across reps); the race gate
-//     requires at least one cell where an adaptive policy (voi or pac)
-//     beats fixed-step Student on TMC-vs-infimum at equal-or-better
-//     NDCG.
+// That the fixed-step policy reproduces the pre-policy comparison loop
+// byte for byte is proven by internal/compare's equivalence tests
+// against the shipped Runner, not here.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"math/rand"
-	"os"
 	"reflect"
-	"runtime/debug"
-	"time"
 
 	"crowdtopk"
-	"crowdtopk/internal/compare"
-	"crowdtopk/internal/crowd"
 	"crowdtopk/internal/topk"
 )
 
-// prePolicyCompare is the comparison loop exactly as it stood before the
-// policy layer: buy I samples to overcome cold start (costing
-// ceil(granted/Step) batch rounds), then alternate the estimator's test
-// with Step-sized purchases clamped to the per-pair budget.
-func prePolicyCompare(eng *crowd.Engine, t compare.Tester, prm compare.Params, i, j int) compare.Outcome {
-	budgetLeft := func(n int) int {
-		if prm.B <= 0 {
-			return int(^uint(0) >> 1)
-		}
-		return prm.B - n
-	}
-	v := eng.View(i, j)
-	for {
-		if need := prm.I - v.N; need > 0 {
-			before := v.N
-			v, _ = eng.DrawN(i, j, need)
-			granted := v.N - before
-			if granted == 0 {
-				return compare.Tie
-			}
-			eng.Tick((granted + prm.Step - 1) / prm.Step)
-		}
-		if o := t.Test(v); o != compare.Tie {
-			return o
-		}
-		left := budgetLeft(v.N)
-		if left <= 0 {
-			return compare.Tie
-		}
-		n := prm.Step
-		if n > left {
-			n = left
-		}
-		before := v.N
-		v, _ = eng.DrawN(i, j, n)
-		if v.N == before {
-			return compare.Tie
-		}
-		eng.Tick(1)
-	}
-}
-
-// policyOverhead is the legacy-overhead leg of the report. Only the
-// wall-time fields vary between machines; everything else is
-// deterministic, so CI's artifact drift check ignores exactly the
-// `_wall_ns` / `overhead` lines (see the policy-race job).
-type policyOverhead struct {
-	Items       int     `json:"items"`
-	Pairs       int     `json:"pairs"`
-	Reps        int     `json:"reps"`
-	TMC         int64   `json:"tmc"`
-	PreNs       []int64 `json:"-"`
-	LayerNs     []int64 `json:"-"`
-	PreBestNs   int64   `json:"pre_wall_ns"`
-	LayerBestNs int64   `json:"layer_wall_ns"`
-	// Overhead is best-of policy-layer wall over best-of pre-layer wall,
-	// minus one; best-of because ambient load only ever adds time.
-	Overhead    float64 `json:"overhead"`
-	MaxOverhead float64 `json:"max_overhead"`
-}
+// raceReps is the number of same-seed repetitions per grid cell.
+const raceReps = 3
 
 // raceCell is one dataset × algorithm × policy grid entry.
 type raceCell struct {
@@ -118,136 +44,16 @@ type policyRaceReport struct {
 	Confidence float64 `json:"confidence"`
 	Reps       int     `json:"reps"`
 
-	Overhead policyOverhead `json:"legacy_overhead"`
-	Grid     []raceCell     `json:"grid"`
+	Grid []raceCell `json:"grid"`
 	// Winners lists the cells where an adaptive policy beat fixed-step
 	// Student on TMC-vs-infimum at equal-or-better NDCG.
 	Winners []string `json:"adaptive_wins"`
 }
 
-// policyCompare is the same loop with the schedule decision virtualized
-// behind the Policy interface, exactly as the refactored Runner drives it
-// (runner.go Compare, minus the memoization and instrumentation both
-// eras share): Bootstrap sizes the cold start, Next sizes every batch,
-// and a non-positive Next concludes the budget-exhausted tie.
-func policyCompare(eng *crowd.Engine, pol compare.Policy, prm compare.Params, i, j int) compare.Outcome {
-	budgetLeft := func(n int) int {
-		if prm.B <= 0 {
-			return int(^uint(0) >> 1)
-		}
-		return prm.B - n
-	}
-	v := eng.View(i, j)
-	for {
-		if need := pol.Bootstrap(v); need > 0 {
-			before := v.N
-			v, _ = eng.DrawN(i, j, need)
-			granted := v.N - before
-			if granted == 0 {
-				return compare.Tie
-			}
-			eng.Tick((granted + prm.Step - 1) / prm.Step)
-		}
-		if o := pol.Test(v); o != compare.Tie {
-			return o
-		}
-		n := pol.Next(v, budgetLeft(v.N))
-		if n <= 0 {
-			return compare.Tie
-		}
-		before := v.N
-		v, _ = eng.DrawN(i, j, n)
-		if v.N == before {
-			return compare.Tie
-		}
-		eng.Tick(1)
-	}
-}
-
-// runOverheadLeg times the all-pairs workload through both loops.
-func runOverheadLeg(reps int, maxOverhead float64) (policyOverhead, error) {
-	const nItems = 32
-	oh := policyOverhead{
-		Items: nItems, Pairs: nItems * (nItems - 1) / 2,
-		Reps: reps, MaxOverhead: maxOverhead,
-	}
-	prm := compare.Params{B: 300, I: 30, Step: 30}
-	d := crowdtopk.SyntheticDataset(nItems, 0.3, 211)
-	oh.TMC = -1
-
-	for r := 0; r < reps; r++ {
-		// Pre-refactor loop.
-		preEng := crowd.NewEngine(d, rand.New(rand.NewSource(212)))
-		est := compare.NewStudent(0.05)
-		var preVerdicts []compare.Outcome
-		start := time.Now()
-		for i := 0; i < nItems; i++ {
-			for j := i + 1; j < nItems; j++ {
-				preVerdicts = append(preVerdicts, prePolicyCompare(preEng, est, prm, i, j))
-			}
-		}
-		oh.PreNs = append(oh.PreNs, time.Since(start).Nanoseconds())
-
-		// Same loop, schedule virtualized behind the Policy interface.
-		layerEng := crowd.NewEngine(d, rand.New(rand.NewSource(212)))
-		pol := compare.NewFixedStep(compare.NewStudent(0.05), prm.I, prm.Step)
-		var layerVerdicts []compare.Outcome
-		start = time.Now()
-		for i := 0; i < nItems; i++ {
-			for j := i + 1; j < nItems; j++ {
-				layerVerdicts = append(layerVerdicts, policyCompare(layerEng, pol, prm, i, j))
-			}
-		}
-		oh.LayerNs = append(oh.LayerNs, time.Since(start).Nanoseconds())
-
-		// Equivalence gates: the layer must not change a single verdict
-		// or buy a single extra microtask, on any rep.
-		if !reflect.DeepEqual(preVerdicts, layerVerdicts) {
-			return oh, fmt.Errorf("rep %d: policy layer changed verdicts", r)
-		}
-		if pre, layer := preEng.TMC(), layerEng.TMC(); pre != layer {
-			return oh, fmt.Errorf("rep %d: policy layer TMC %d != pre-layer %d", r, layer, pre)
-		}
-		if oh.TMC < 0 {
-			oh.TMC = preEng.TMC()
-		} else if preEng.TMC() != oh.TMC {
-			return oh, fmt.Errorf("rep %d: TMC %d diverged across reps (want %d)", r, preEng.TMC(), oh.TMC)
-		}
-	}
-
-	minNs := func(ns []int64) int64 {
-		best := ns[0]
-		for _, v := range ns[1:] {
-			if v < best {
-				best = v
-			}
-		}
-		return best
-	}
-	oh.PreBestNs, oh.LayerBestNs = minNs(oh.PreNs), minNs(oh.LayerNs)
-	if oh.PreBestNs > 0 {
-		oh.Overhead = float64(oh.LayerBestNs)/float64(oh.PreBestNs) - 1
-	}
-	if oh.Overhead > maxOverhead {
-		return oh, fmt.Errorf("policy layer costs %.1f%% over the pre-refactor loop (gate %.0f%%)",
-			100*oh.Overhead, 100*maxOverhead)
-	}
-	return oh, nil
-}
-
-// runPolicyRace runs both legs and returns the report, or an error
-// naming the first violated gate.
-func runPolicyRace(reps int, maxOverhead float64) (*policyRaceReport, error) {
-	old := debug.SetGCPercent(400)
-	defer debug.SetGCPercent(old)
-
-	rep := &policyRaceReport{K: 8, Budget: 300, Confidence: 0.95, Reps: reps}
-
-	oh, err := runOverheadLeg(reps, maxOverhead)
-	rep.Overhead = oh
-	if err != nil {
-		return rep, err
-	}
+// runPolicyRace runs the grid and returns the report, or an error naming
+// the first violated gate.
+func runPolicyRace() (*policyRaceReport, error) {
+	rep := &policyRaceReport{K: 8, Budget: 300, Confidence: 0.95, Reps: raceReps}
 
 	datasets := []struct {
 		name string
@@ -257,18 +63,19 @@ func runPolicyRace(reps int, maxOverhead float64) (*policyRaceReport, error) {
 		{"noisy-n40", crowdtopk.SyntheticDataset(40, 0.35, 222)},
 	}
 	algorithms := []crowdtopk.Algorithm{crowdtopk.SPR, crowdtopk.HeapSort}
+	// Fixed-step Student comes first: the race gate scores the rest against it.
 	policies := []crowdtopk.PolicyName{
 		crowdtopk.FixedPolicy, crowdtopk.VoIPolicy, crowdtopk.PACPolicy,
 	}
 
 	infP := topk.InfimumParams{Alpha: 1 - rep.Confidence, B: rep.Budget, I: 30, Eta: 30}
-	cells := map[string]raceCell{}
 	for _, ds := range datasets {
 		inf := topk.InfimumCost(ds.d, rep.K, infP)
 		for _, alg := range algorithms {
+			var fixed raceCell
 			for _, pol := range policies {
 				var first crowdtopk.Result
-				for r := 0; r < reps; r++ {
+				for r := 0; r < rep.Reps; r++ {
 					res, err := crowdtopk.Query(ds.d, crowdtopk.Options{
 						Algorithm: alg, K: rep.K, Policy: pol,
 						Confidence: rep.Confidence, Budget: rep.Budget,
@@ -295,20 +102,12 @@ func runPolicyRace(reps int, maxOverhead float64) (*policyRaceReport, error) {
 					NDCG: crowdtopk.Evaluate(ds.d, first.TopK).NDCG,
 				}
 				rep.Grid = append(rep.Grid, cell)
-				cells[cell.Dataset+"/"+cell.Algorithm+"/"+cell.Policy] = cell
-			}
-		}
-	}
-
-	// Race gate: some adaptive policy dominates fixed-step Student —
-	// lower TMC-vs-infimum at equal-or-better NDCG — on some cell.
-	for _, ds := range datasets {
-		for _, alg := range algorithms {
-			fixed := cells[ds.name+"/"+string(alg)+"/"+string(crowdtopk.FixedPolicy)]
-			for _, pol := range []crowdtopk.PolicyName{crowdtopk.VoIPolicy, crowdtopk.PACPolicy} {
-				c := cells[ds.name+"/"+string(alg)+"/"+string(pol)]
-				if c.Ratio < fixed.Ratio && c.NDCG >= fixed.NDCG {
-					rep.Winners = append(rep.Winners, c.Dataset+"/"+c.Algorithm+"/"+c.Policy)
+				// Race gate: an adaptive cell wins with a lower ratio than
+				// fixed-step Student at equal-or-better NDCG.
+				if pol == crowdtopk.FixedPolicy {
+					fixed = cell
+				} else if cell.Ratio < fixed.Ratio && cell.NDCG >= fixed.NDCG {
+					rep.Winners = append(rep.Winners, cell.Dataset+"/"+cell.Algorithm+"/"+cell.Policy)
 				}
 			}
 		}
@@ -319,37 +118,19 @@ func runPolicyRace(reps int, maxOverhead float64) (*policyRaceReport, error) {
 	return rep, nil
 }
 
-func policyRaceMain(jsonOut string, reps int, maxOverhead float64) {
-	report, err := runPolicyRace(reps, maxOverhead)
-	if report != nil {
-		oh := report.Overhead
-		fmt.Printf("perfcheck: policy-race overhead: %d pairs tmc %d, layer %+.1f%% over pre-refactor loop (gate %.0f%%)\n",
-			oh.Pairs, oh.TMC, 100*oh.Overhead, 100*oh.MaxOverhead)
-		for _, c := range report.Grid {
-			fmt.Printf("%-10s %-10s %-6s  tmc %6d  inf %8.1f  ratio %5.2f  ndcg %.4f\n",
-				c.Dataset, c.Algorithm, c.Policy, c.TMC, c.Infimum, c.Ratio, c.NDCG)
-		}
-		for _, w := range report.Winners {
-			fmt.Printf("perfcheck: adaptive win: %s\n", w)
-		}
-		if jsonOut != "" {
-			if werr := writePolicyRaceJSON(jsonOut, report); werr != nil {
-				fmt.Fprintf(os.Stderr, "perfcheck: %v\n", werr)
-				os.Exit(1)
-			}
-			fmt.Printf("perfcheck: wrote %s\n", jsonOut)
-		}
+func policyRaceMain(jsonOut string) {
+	report, err := runPolicyRace()
+	for _, c := range report.Grid {
+		fmt.Printf("%-10s %-10s %-6s  tmc %6d  inf %8.1f  ratio %5.2f  ndcg %.4f\n",
+			c.Dataset, c.Algorithm, c.Policy, c.TMC, c.Infimum, c.Ratio, c.NDCG)
+	}
+	for _, w := range report.Winners {
+		fmt.Printf("perfcheck: adaptive win: %s\n", w)
+	}
+	if werr := writeJSON(jsonOut, report); werr != nil {
+		fatalf("policy-race: %v", werr)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "perfcheck: policy-race gate failed: %v\n", err)
-		os.Exit(1)
+		fatalf("policy-race gate failed: %v", err)
 	}
-}
-
-func writePolicyRaceJSON(path string, report *policyRaceReport) error {
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"reflect"
 
 	"crowdtopk"
@@ -52,12 +51,15 @@ type scenarioReport struct {
 	Accounting *service.Accounting          `json:"service_accounting,omitempty"`
 }
 
+// warmMaxRatio is the warm/cold TMC ratio the scenario gates at.
+const warmMaxRatio = 0.20
+
 // runWarmScenario executes the mix and returns the report, or an error
 // describing the first violated gate.
-func runWarmScenario(maxRatio float64) (*scenarioReport, error) {
+func runWarmScenario() (*scenarioReport, error) {
 	rep := &scenarioReport{
 		Items: 60, Noise: 0.25, Seed: 75, Confidence: 0.95, Budget: 400,
-		MaxRatio: maxRatio,
+		MaxRatio: warmMaxRatio,
 	}
 	d := crowdtopk.SyntheticDataset(rep.Items, rep.Noise, 70)
 	opts := func(alg crowdtopk.Algorithm, k int, s crowdtopk.JudgmentStore) crowdtopk.Options {
@@ -122,9 +124,9 @@ func runWarmScenario(maxRatio float64) (*scenarioReport, error) {
 			return rep, fmt.Errorf("warm %s k=%d returned a different top-k than cold", q.Algorithm, q.K)
 		}
 	}
-	if rep.Ratio > maxRatio {
+	if rep.Ratio > rep.MaxRatio {
 		return rep, fmt.Errorf("warm TMC %d is %.1f%% of cold %d, above the %.0f%% gate",
-			rep.WarmTotalTMC, 100*rep.Ratio, rep.ColdTotalTMC, 100*maxRatio)
+			rep.WarmTotalTMC, 100*rep.Ratio, rep.ColdTotalTMC, 100*rep.MaxRatio)
 	}
 
 	// Accounting reconciliation: replay one repeat query through the HTTP
@@ -203,8 +205,8 @@ func serviceAccounting(d crowdtopk.Oracle, opts crowdtopk.Options) (*service.Acc
 	return &acct, nil
 }
 
-func scenarioMain(jsonOut string, maxRatio float64) {
-	rep, err := runWarmScenario(maxRatio)
+func scenarioMain(jsonOut string) {
+	rep, err := runWarmScenario()
 	if rep != nil {
 		for _, q := range rep.Queries {
 			mark := "ok"
@@ -224,21 +226,11 @@ func scenarioMain(jsonOut string, maxRatio float64) {
 			fmt.Printf("perfcheck: /debug/accounting: tmc=%d hits=%d misses=%d stale=%d commits=%d balanced=%v\n",
 				a.SessionTMC, a.StoreHits, a.StoreMisses, a.StoreStale, a.StoreCommits, a.Balanced)
 		}
-		if jsonOut != "" {
-			data, merr := json.MarshalIndent(rep, "", "  ")
-			if merr == nil {
-				data = append(data, '\n')
-				if werr := os.WriteFile(jsonOut, data, 0o644); werr == nil {
-					fmt.Printf("perfcheck: wrote warm scenario report to %s\n", jsonOut)
-				} else {
-					fmt.Fprintf(os.Stderr, "perfcheck: writing %s: %v\n", jsonOut, werr)
-					os.Exit(1)
-				}
-			}
+		if werr := writeJSON(jsonOut, rep); werr != nil {
+			fatalf("warm scenario: %v", werr)
 		}
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "perfcheck: warm scenario: %v\n", err)
-		os.Exit(1)
+		fatalf("warm scenario: %v", err)
 	}
 }
