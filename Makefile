@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-hot bench-json bench-diff warm-cache fuzz chaos serve-metrics smoke-metrics load service-smoke crash-recovery log-bench explain-bench policy-race all
+.PHONY: build test race vet fmt-check bench-check bench bench-hot bench-json bench-diff warm-cache fuzz chaos serve-metrics smoke-metrics load service-smoke crash-recovery log-bench explain-bench policy-race all
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark (bench/, its own module) imports the public API and
+# internal/{service,obs,topk}; vetting and testing it keeps an API change
+# from breaking it unnoticed. About two seconds.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Fails when any Go file is not gofmt-clean; `gofmt -l .` names them.
 fmt-check:
@@ -125,7 +132,7 @@ explain-bench:
 policy-race:
 	$(GO) run ./cmd/perfcheck -run policy -json BENCH_PR10.json
 
-# Short fuzzing sessions: compareAll's duplicate/orientation grouping,
+# Short fuzzing sessions: the plan driver's duplicate/orientation grouping,
 # randomized platform fault schedules against the resilience layer, and
 # the O(1)-seeded source against math/rand's stream. Go runs one -fuzz
 # target per invocation, hence one command each.

@@ -1,7 +1,9 @@
 package crowdtopk
 
 import (
+	"context"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -38,14 +40,54 @@ func TestQueryAllAlgorithms(t *testing.T) {
 
 func TestQueryAllEstimators(t *testing.T) {
 	d := SyntheticDataset(30, 0.2, 9)
-	for _, est := range []Estimator{Student, Stein, HoeffdingBinary} {
-		res, err := Query(d, Options{K: 3, Estimator: est, Budget: 2000, Seed: 13})
+	for _, est := range []PolicyName{Student, Stein, HoeffdingBinary} {
+		res, err := Query(d, Options{K: 3, Policy: est, Budget: 2000, Seed: 13})
 		if err != nil {
 			t.Fatalf("%s: %v", est, err)
 		}
 		if q := Evaluate(d, res.TopK); q.Precision < 0.6 {
 			t.Errorf("%s precision %v too low", est, q.Precision)
 		}
+	}
+}
+
+// Every policy name, and "fixed" (the older name of student), answers a
+// query; an unknown name fails with the canonical list; an override the
+// session cannot run is refused by StartTopK instead of crashing.
+func TestQueryEveryPolicy(t *testing.T) {
+	d := SyntheticDataset(20, 0.2, 21)
+	for _, name := range append(PolicyNames(), "fixed") {
+		res, err := Query(d, Options{K: 3, Policy: PolicyName(name), Budget: 300, Seed: 22})
+		if err != nil || len(res.TopK) != 3 || res.TMC <= 0 {
+			t.Errorf("policy %q: %+v, %v", name, res, err)
+		}
+	}
+	want := `unknown policy "bogus" (available: ` + strings.Join(PolicyNames(), ", ") + ")"
+	if _, err := Query(d, Options{K: 3, Policy: "bogus"}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("bogus policy: %v, want %q", err, want)
+	}
+	if p, err := ResolvePolicy("fixed", 0.95); err != nil || p != Student {
+		t.Errorf("ResolvePolicy(fixed) = %q, %v; want student", p, err)
+	}
+
+	s, err := NewSession(d, Options{Policy: VoIPolicy, Confidence: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.StartTopK(context.Background(), 3, QueryOptions{Policy: StudentOneSided}); err == nil {
+		t.Error("one-sided override at confidence 0.5 started")
+	}
+	if _, err := s.ResolvePolicy(StudentOneSided); err == nil {
+		t.Error("ResolvePolicy accepted one-sided at confidence 0.5")
+	}
+	for name, want := range map[PolicyName]PolicyName{"": VoIPolicy, "fixed": Student, Stein: Stein} {
+		if p, err := s.ResolvePolicy(name); err != nil || p != want {
+			t.Errorf("Session.ResolvePolicy(%q) = %q, %v; want %q", name, p, err, want)
+		}
+	}
+	if _, err := s.TopK(3); err != nil {
+		t.Errorf("session unusable after a refused override: %v", err)
 	}
 }
 
@@ -68,7 +110,7 @@ func TestQueryValidation(t *testing.T) {
 		{K: -1}, // K: 0 is not an error — it selects the default of 10
 		{K: 11},
 		{K: 3, Algorithm: "bogus"},
-		{K: 3, Estimator: "bogus"},
+		{K: 3, Policy: "bogus"},
 		{K: 3, Confidence: 1.5},
 		{K: 3, MinWorkload: 1},
 		{K: 3, BatchSize: -1},

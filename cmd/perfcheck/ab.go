@@ -118,7 +118,7 @@ func runAB(b abBench) (*abReport, error) {
 	}
 	rep.Modes = rows
 	for _, m := range rows {
-		if m.Mode == b.gated && m.Overhead > rep.MaxOverhead {
+		if m.Mode == b.gated && exceeds(m.Overhead, rep.MaxOverhead) {
 			return rep, fmt.Errorf("%s costs %.1f%% over %s (gate %.0f%%)",
 				m.Mode, 100*m.Overhead, rows[0].Mode, 100*rep.MaxOverhead)
 		}

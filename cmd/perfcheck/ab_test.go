@@ -78,11 +78,20 @@ func TestRunABOverheadGate(t *testing.T) {
 	if rep == nil || len(rep.Modes) != 2 {
 		t.Fatalf("a failed overhead gate must still return the report, got %+v", rep)
 	}
-	// Exactly at the bound passes (a bound whose ratio is exact in binary).
+	// Exactly at the bound passes, also where the ratio is not exact in
+	// binary; just over it fails.
 	b = fakeBench(map[string][]int64{"off": {100, 100}, "on": {125, 120}}, same)
 	b.report.MaxOverhead = 0.25
 	if _, err := runAB(b); err != nil {
 		t.Fatalf("25%% exactly at the bound: %v", err)
+	}
+	b = fakeBench(map[string][]int64{"off": {100, 100}, "on": {105, 110}}, same)
+	if _, err := runAB(b); err != nil {
+		t.Fatalf("5%% exactly at the bound: %v", err)
+	}
+	b = fakeBench(map[string][]int64{"off": {1000, 1000}, "on": {1051, 1100}}, same)
+	if _, err := runAB(b); err == nil {
+		t.Fatal("5.1% passed the 5% gate")
 	}
 	// Only the gated mode is gated.
 	b = fakeBench(map[string][]int64{"off": {100, 100}, "on": {200, 200}}, same)

@@ -144,6 +144,17 @@ func parseFile(path string) ([]result, error) {
 	return parse(f)
 }
 
+// boundSlack absorbs the float64 rounding of a measured ratio minus one
+// (a few ulps, ~1e-16), so a slowdown exactly at a bound — 110 vs 100
+// ns/op at 10% — passes instead of failing on the last bit. It is far
+// below the resolution of anything gated here: one nanosecond in a
+// quarter-hour operation.
+const boundSlack = 1e-12
+
+// exceeds reports whether a relative slowdown delta (ratio − 1) is over
+// bound.
+func exceeds(delta, bound float64) bool { return delta > bound+boundSlack }
+
 // gate compares current against baseline and returns the verdict lines
 // for shared benchmarks, plus whether any regressed beyond maxRegress.
 func gate(baseline, current []result, maxRegress float64) (lines []string, failed bool) {
@@ -158,7 +169,7 @@ func gate(baseline, current []result, maxRegress float64) (lines []string, faile
 		}
 		delta := cur.NsPerOp/b.NsPerOp - 1
 		verdict := "ok"
-		if delta > maxRegress {
+		if exceeds(delta, maxRegress) {
 			verdict = "REGRESSION"
 			failed = true
 		}

@@ -65,6 +65,22 @@ func TestGate(t *testing.T) {
 	if _, failed := gate(base, []result{{Name: "A", NsPerOp: 221}}, 0.10); !failed {
 		t.Error("+10.5% passed a 10% gate")
 	}
+	// Exactly at a bound passes even where the ratio is not exact in
+	// binary; anything over it still fails.
+	for _, tc := range []struct {
+		base, cur, bound float64
+		failed           bool
+	}{
+		{100, 110, 0.10, false},
+		{100, 105, 0.05, false},
+		{1000, 1051, 0.05, true},
+		{100, 110.0001, 0.10, true},
+	} {
+		_, failed := gate([]result{{Name: "A", NsPerOp: tc.base}}, []result{{Name: "A", NsPerOp: tc.cur}}, tc.bound)
+		if failed != tc.failed {
+			t.Errorf("%v vs %v at %v: failed=%v, want %v", tc.cur, tc.base, tc.bound, failed, tc.failed)
+		}
+	}
 }
 
 func TestGateMetrics(t *testing.T) {

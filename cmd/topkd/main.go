@@ -65,7 +65,7 @@ func main() {
 		seed  = flag.Int64("seed", 1, "random seed")
 		conf  = flag.Float64("confidence", 0.95, "per-comparison confidence level")
 		budgt = flag.Int("budget", 500, "per-pair microtask budget (-1 = unlimited)")
-		pol   = flag.String("policy", "fixed", "default comparison sampling policy ("+strings.Join(crowdtopk.PolicyNames(), ", ")+"); per-query override via the request's \"policy\" field")
+		pol   = flag.String("policy", string(crowdtopk.Student), "default comparison policy ("+strings.Join(crowdtopk.PolicyNames(), ", ")+"; \"fixed\" is an older name for student); per-query override via the request's \"policy\" field")
 		total = flag.Int64("total-budget", 0, "session-wide spending cap in microtasks (0 = unlimited)")
 		par   = flag.Int("parallelism", 0, "comparison worker pool (0 = GOMAXPROCS)")
 
@@ -97,9 +97,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if !crowdtopk.PolicyRegistered(*pol) {
-		fmt.Fprintf(os.Stderr, "topkd: unknown -policy %q (available: %s)\n",
-			*pol, strings.Join(crowdtopk.PolicyNames(), ", "))
+	sessPolicy, err := crowdtopk.ResolvePolicy(crowdtopk.PolicyName(*pol), *conf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "topkd: -policy:", err)
 		os.Exit(2)
 	}
 
@@ -154,7 +154,7 @@ func main() {
 	tel := crowdtopk.NewTelemetry()
 	opts := crowdtopk.Options{
 		Algorithm:   crowdtopk.SPR,
-		Policy:      crowdtopk.PolicyName(*pol),
+		Policy:      sessPolicy,
 		Confidence:  *conf,
 		Budget:      *budgt,
 		TotalBudget: *total,

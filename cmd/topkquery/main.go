@@ -36,8 +36,7 @@ func main() {
 	var (
 		ds     = flag.String("dataset", "synthetic", "dataset: imdb, book, jester, photo, peopleage, synthetic")
 		alg    = flag.String("algorithm", "spr", "algorithm: spr, tourtree, heapsort, quickselect, pbr")
-		est    = flag.String("estimator", "student", "comparison estimator: "+strings.Join(crowdtopk.EstimatorNames(), ", "))
-		policy = flag.String("policy", "fixed", "comparison sampling policy: "+strings.Join(crowdtopk.PolicyNames(), ", "))
+		policy = flag.String("policy", string(crowdtopk.Student), "comparison policy (stopping rule and sampling schedule): "+strings.Join(crowdtopk.PolicyNames(), ", ")+"; \"fixed\" is an older name for student")
 		k      = flag.Int("k", 10, "number of items to return")
 		conf   = flag.Float64("confidence", 0.98, "per-comparison confidence level")
 		budget = flag.Int("budget", 1000, "per-pair microtask budget (-1 = unlimited)")
@@ -68,9 +67,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if !crowdtopk.PolicyRegistered(*policy) {
-		fmt.Fprintf(os.Stderr, "unknown -policy %q (available: %s)\n",
-			*policy, strings.Join(crowdtopk.PolicyNames(), ", "))
+	pol, err := crowdtopk.ResolvePolicy(crowdtopk.PolicyName(*policy), *conf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -110,8 +109,7 @@ func main() {
 	opts := crowdtopk.Options{
 		K:           *k,
 		Algorithm:   crowdtopk.Algorithm(*alg),
-		Estimator:   crowdtopk.Estimator(*est),
-		Policy:      crowdtopk.PolicyName(*policy),
+		Policy:      pol,
 		Confidence:  *conf,
 		Budget:      *budget,
 		Parallelism: *par,
@@ -195,7 +193,7 @@ func main() {
 	q := crowdtopk.Evaluate(data, res.TopK)
 
 	fmt.Printf("dataset:    %s (%d items)\n", data.Name(), data.NumItems())
-	fmt.Printf("algorithm:  %s / %s (policy %s) @ confidence %.2f, budget %d\n", *alg, *est, *policy, *conf, *budget)
+	fmt.Printf("algorithm:  %s / %s @ confidence %.2f, budget %d\n", *alg, pol, *conf, *budget)
 	fmt.Printf("top-%d:     %v\n", *k, res.TopK)
 	fmt.Printf("truth:      %v\n", crowdtopk.TrueTopK(data, *k))
 	fmt.Printf("cost:       %d microtasks (%.2f USD at 0.1 cent each)\n", res.TMC, float64(res.TMC)*0.001)

@@ -3,7 +3,6 @@ package crowdtopk
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"crowdtopk/internal/compare"
@@ -197,7 +196,7 @@ func Query(o Oracle, opts Options) (Result, error) {
 }
 
 // Judge runs one confidence-aware comparison COMP(o_i, o_j): it keeps
-// purchasing preference microtasks for the pair until the estimator can
+// purchasing preference microtasks for the pair until the policy can
 // call a winner at the configured confidence, or the budget runs out.
 // Options.K and the SPR-specific options are ignored.
 func Judge(o Oracle, i, j int, opts Options) (Judgment, error) {
@@ -231,47 +230,35 @@ func Judge(o Oracle, i, j int, opts Options) (Judgment, error) {
 	return jm, nil
 }
 
-// newTester builds the verdict estimator the options selected.
-func newTester(opts Options) (compare.Tester, error) {
-	alpha := 1 - opts.Confidence
-	switch opts.Estimator {
-	case Student:
-		return compare.NewStudent(alpha), nil
-	case Stein:
-		return compare.NewStein(alpha), nil
-	case StudentOneSided:
-		return compare.NewStudentOneSided(alpha), nil
-	case HoeffdingBinary:
-		return compare.NewHoeffding(alpha), nil
-	case HoeffdingPreference:
-		return compare.NewHoeffdingPref(alpha), nil
-	default:
-		return nil, fmt.Errorf("crowdtopk: unknown estimator %q (available: %s)",
-			opts.Estimator, strings.Join(EstimatorNames(), ", "))
+// ResolvePolicy returns the canonical name of the policy a query asking
+// for name runs under at the given confidence ("" and "fixed" resolve to
+// Student), or why it cannot run: an unknown name (the error lists
+// PolicyNames), or a confidence the policy cannot run at. Query and
+// NewSession make the same check; it is exported for callers that
+// validate flags before opening anything. Session.ResolvePolicy is the
+// per-query form.
+func ResolvePolicy(name PolicyName, confidence float64) (PolicyName, error) {
+	pol, err := newPolicy(name, confidence)
+	if err != nil {
+		return "", err
 	}
+	return PolicyName(pol.Name()), nil
 }
 
-// newPolicy builds the named sampling-schedule policy from the registry,
-// wrapping the options' estimator where the policy calls for one.
-func newPolicy(name PolicyName, opts Options) (compare.Policy, error) {
-	t, err := newTester(opts)
+// newPolicy builds the named comparison policy at the given confidence.
+// It is the one construction path — session defaults, per-query
+// overrides and service admission all go through it — and reports an
+// unknown name or a confidence the policy cannot run at as an error.
+func newPolicy(name PolicyName, confidence float64) (compare.Policy, error) {
+	pol, err := compare.NewPolicy(string(name), 1-confidence)
 	if err != nil {
-		return nil, err
-	}
-	pol, err := compare.NewPolicy(string(name), compare.PolicyConfig{
-		Tester: t,
-		Alpha:  1 - opts.Confidence,
-		I:      opts.MinWorkload, Step: opts.BatchSize, B: opts.Budget,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("crowdtopk: unknown policy %q (available: %s)",
-			name, strings.Join(PolicyNames(), ", "))
+		return nil, fmt.Errorf("crowdtopk: %w", err)
 	}
 	return pol, nil
 }
 
 func newRunner(o Oracle, opts Options) (*compare.Runner, error) {
-	policy, err := newPolicy(opts.Policy, opts)
+	policy, err := newPolicy(opts.Policy, opts.Confidence)
 	if err != nil {
 		return nil, err
 	}

@@ -31,9 +31,10 @@
 //   - Algorithms: SPR (the paper's contribution) and the confidence-aware
 //     baselines TourTree, HeapSort, QuickSelect and PBR, selected via
 //     Options.Algorithm.
-//   - Comparison processes: Student's t (Algorithm 1), Stein's estimation
-//     (Algorithm 5), and anytime Hoeffding for binary judgments, selected
-//     via Options.Estimator.
+//   - Comparison policies: Student's t (Algorithm 1, the default), Stein's
+//     estimation (Algorithm 5), anytime Hoeffding for binary judgments and
+//     the adaptive VoI and PAC schedules, selected by name via
+//     Options.Policy (PolicyNames lists them).
 //   - Datasets: synthetic stand-ins for the paper's IMDb, Book, Jester,
 //     Photo and PeopleAge sources, with ground truth for evaluation.
 //   - Judge: a single confidence-aware comparison COMP(o_i, o_j), usable

@@ -1,13 +1,14 @@
 package crowdtopk
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
 
-// allEstimators is the full legacy roster the fixed-step policy adapter
-// must keep behaviourally unchanged at the public-API layer.
-var allEstimators = []Estimator{
+// allEstimators is the full legacy estimator roster whose fixed-schedule
+// policies must stay behaviourally unchanged at the public-API layer.
+var allEstimators = []PolicyName{
 	Student, StudentOneSided, Stein, HoeffdingBinary, HoeffdingPreference,
 }
 
@@ -18,8 +19,10 @@ var allEstimators = []Estimator{
 // through Session/TopK and pins the policy layer's no-regression
 // contract:
 //
-//   - an explicit Policy: FixedPolicy is byte-identical to leaving the
-//     field zero — the adapter is the default path, not a fork;
+//   - the policy named per query on a default session is byte-identical
+//     to the same policy named by the session — for Student spelled
+//     "fixed" per query on a session that leaves Policy zero, so both
+//     legacy spellings reach the default path, not a fork;
 //   - deterministic mode stays byte-identical across parallelism —
 //     Result, phase breakdown and the microtask audit log;
 //   - async mode keeps its documented semantics: the same answer set,
@@ -30,11 +33,24 @@ func TestPolicyLayerCrossLayerEquivalence(t *testing.T) {
 	d := SyntheticDataset(24, 0.25, 141)
 	const k = 4
 
-	run := func(t *testing.T, est Estimator, mode SchedulingMode, parallelism int, pol PolicyName) (Result, []TaskRecord) {
+	// ranUnder is the policy a query runs under: the per-query one if named,
+	// else the session's, with both legacy spellings of Student resolved.
+	ranUnder := func(sessPol, qPol PolicyName) PolicyName {
+		if qPol == "" {
+			qPol = sessPol
+		}
+		if qPol == "" || qPol == FixedPolicy {
+			return Student
+		}
+		return qPol
+	}
+
+	// run answers one query under sessPol, or under qPol named per query
+	// when qPol is set.
+	run := func(t *testing.T, sessPol, qPol PolicyName, mode SchedulingMode, parallelism int) (Result, []TaskRecord) {
 		t.Helper()
 		s, err := NewSession(d, Options{
-			Estimator:   est,
-			Policy:      pol,
+			Policy:      sessPol,
 			Confidence:  0.95,
 			Budget:      200,
 			Seed:        142,
@@ -42,13 +58,20 @@ func TestPolicyLayerCrossLayerEquivalence(t *testing.T) {
 			Scheduling:  mode,
 		})
 		if err != nil {
-			t.Fatalf("session (est %s, mode %s, p %d): %v", est, mode, parallelism, err)
+			t.Fatalf("session (policy %q, mode %s, p %d): %v", sessPol, mode, parallelism, err)
 		}
 		defer s.Close()
 		s.EnableAuditLog()
-		res, err := s.TopK(k)
+		h, err := s.StartTopK(context.Background(), k, QueryOptions{Policy: qPol})
 		if err != nil {
-			t.Fatalf("TopK (est %s, mode %s, p %d): %v", est, mode, parallelism, err)
+			t.Fatalf("StartTopK (policy %q/%q, mode %s, p %d): %v", sessPol, qPol, mode, parallelism, err)
+		}
+		res, err := h.Wait()
+		if err != nil {
+			t.Fatalf("TopK (policy %q/%q, mode %s, p %d): %v", sessPol, qPol, mode, parallelism, err)
+		}
+		if h.Policy() != ranUnder(sessPol, qPol) {
+			t.Fatalf("query ran under %q, want %q", h.Policy(), ranUnder(sessPol, qPol))
 		}
 		log := append([]TaskRecord(nil), s.AuditLog()...)
 		return res, log
@@ -57,20 +80,24 @@ func TestPolicyLayerCrossLayerEquivalence(t *testing.T) {
 	for _, est := range allEstimators {
 		for _, mode := range []SchedulingMode{Deterministic, Async} {
 			t.Run(string(est)+"/"+string(mode), func(t *testing.T) {
-				seqRes, seqLog := run(t, est, mode, 1, "")
-				parRes, parLog := run(t, est, mode, 8, "")
-				expRes, expLog := run(t, est, mode, 1, FixedPolicy)
+				seqRes, seqLog := run(t, est, "", mode, 1)
+				parRes, parLog := run(t, est, "", mode, 8)
+				perQuery := est
+				if est == Student {
+					perQuery = FixedPolicy
+				}
+				expRes, expLog := run(t, "", perQuery, mode, 1)
 
 				if seqRes.TMC <= 0 || len(seqLog) == 0 {
 					t.Fatalf("vacuous run: tmc %d, %d audit records", seqRes.TMC, len(seqLog))
 				}
-				// Explicit FixedPolicy == zero-value default, byte for byte.
+				// Per-query policy == session policy, byte for byte.
 				if !reflect.DeepEqual(seqRes, expRes) {
-					t.Errorf("explicit fixed policy diverged from default\n default: %+v\n fixed:   %+v", seqRes, expRes)
+					t.Errorf("per-query %q diverged from the session policy\n session:   %+v\n per query: %+v", perQuery, seqRes, expRes)
 				}
 				if !reflect.DeepEqual(seqLog, expLog) {
-					t.Errorf("explicit fixed policy audit log diverged from default (%d vs %d records)",
-						len(expLog), len(seqLog))
+					t.Errorf("per-query %q audit log diverged from the session policy (%d vs %d records)",
+						perQuery, len(expLog), len(seqLog))
 				}
 
 				switch mode {

@@ -19,20 +19,20 @@ func main() {
 	fmt.Printf("dataset: %s with %d photos; judgments replay stored Likert records\n\n",
 		photos.Name(), photos.NumItems())
 
-	// Compare the cheap-and-informative preference estimator with the
+	// Compare the cheap-and-informative preference policy with the
 	// binary (sign-only) one on the same task: the binary model discards
 	// the strength of each judgment and pays for it (the paper's Table 3).
-	for _, est := range []crowdtopk.Estimator{crowdtopk.Student, crowdtopk.HoeffdingBinary} {
+	for _, pol := range []crowdtopk.PolicyName{crowdtopk.Student, crowdtopk.HoeffdingBinary} {
 		res, err := crowdtopk.Query(photos, crowdtopk.Options{
-			K:         5,
-			Estimator: est,
-			Seed:      3,
+			K:      5,
+			Policy: pol,
+			Seed:   3,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		q := crowdtopk.Evaluate(photos, res.TopK)
-		fmt.Printf("estimator=%-10s cost=%7d NDCG=%.3f top-5=%v\n", est, res.TMC, q.NDCG, res.TopK)
+		fmt.Printf("policy=%-10s cost=%7d NDCG=%.3f top-5=%v\n", pol, res.TMC, q.NDCG, res.TopK)
 	}
 
 	// Single judgments against the contest favorite.

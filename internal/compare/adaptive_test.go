@@ -17,12 +17,12 @@ func TestAdaptiveNextFundsUnderUnlimitedBudget(t *testing.T) {
 	v := crowd.BagView{N: 40, Mean: 0.4, SD: 0.5}
 	for _, tc := range []struct {
 		name string
-		next func(crowd.BagView, int) int
+		next func(crowd.BagView, int, Params) int
 	}{
 		{"voi", NewVoI(0.05).Next},
 		{"pac", NewPAC(0.05).Next},
 	} {
-		if got := tc.next(v, unlimited); got <= 0 {
+		if got := tc.next(v, unlimited, Params{}); got <= 0 {
 			t.Errorf("%s.Next(separable pair, unlimited budget) = %d, want > 0", tc.name, got)
 		}
 	}
@@ -56,10 +56,10 @@ func TestAdaptiveUnlimitedBudgetConcludesSeparablePair(t *testing.T) {
 // small finite remainder cannot fund still declines the purchase.
 func TestAdaptiveNextSurrendersWhenUnfundable(t *testing.T) {
 	v := crowd.BagView{N: 30, Mean: 0.01, SD: 0.5} // needs thousands of samples
-	if got := NewVoI(0.05).Next(v, 20); got != 0 {
+	if got := NewVoI(0.05).Next(v, 20, Params{}); got != 0 {
 		t.Errorf("voi.Next(near-tie, 20 left) = %d, want 0 (surrender)", got)
 	}
-	if got := NewPAC(0.05).Next(v, 20); got != 0 {
+	if got := NewPAC(0.05).Next(v, 20, Params{}); got != 0 {
 		t.Errorf("pac.Next(near-tie, 20 left) = %d, want 0 (eliminate)", got)
 	}
 }

@@ -13,10 +13,10 @@ import (
 // to overcome cold start (the granted samples cost ceil(granted/Step)
 // batch rounds), then alternate Test with Step-sized purchases clamped
 // to the remaining per-pair budget, concluding a tie when it runs dry.
-// The refactored Runner routed through the FixedStep adapter must
+// The Runner driving an estimator policy's fixed schedule must
 // reproduce this loop byte for byte — same verdicts, same TMC, same
 // audit log, same latency rounds.
-func legacyCompare(eng *crowd.Engine, t Tester, prm Params, i, j int) Outcome {
+func legacyCompare(eng *crowd.Engine, t Policy, prm Params, i, j int) Outcome {
 	budgetLeft := func(n int) int {
 		if prm.B <= 0 {
 			return int(^uint(0) >> 1)
@@ -55,13 +55,13 @@ func legacyCompare(eng *crowd.Engine, t Tester, prm Params, i, j int) Outcome {
 }
 
 // equivalenceEstimators is the full legacy estimator roster the
-// fixed-step adapter must keep byte-identical.
-var equivalenceEstimators = map[string]func(alpha float64) Tester{
-	"student":          func(a float64) Tester { return NewStudent(a) },
-	"student-onesided": func(a float64) Tester { return NewStudentOneSided(a) },
-	"stein":            func(a float64) Tester { return NewStein(a) },
-	"hoeffding":        func(a float64) Tester { return NewHoeffding(a) },
-	"hoeffding-pref":   func(a float64) Tester { return NewHoeffdingPref(a) },
+// fixed schedule must keep byte-identical.
+var equivalenceEstimators = map[string]func(alpha float64) Policy{
+	"student":          func(a float64) Policy { return NewStudent(a) },
+	"student-onesided": func(a float64) Policy { return NewStudentOneSided(a) },
+	"stein":            func(a float64) Policy { return NewStein(a) },
+	"hoeffding":        func(a float64) Policy { return NewHoeffding(a) },
+	"hoeffding-pref":   func(a float64) Policy { return NewHoeffdingPref(a) },
 }
 
 // TestRunnerMatchesLegacyReferenceLoop runs the same pair workload —
@@ -114,7 +114,8 @@ func TestRunnerMatchesLegacyReferenceLoop(t *testing.T) {
 
 // TestRunnerMatchesLegacyReferenceLoopUnlimited covers the B <= 0
 // (unlimited budget) branch, where the legacy exhaustion check `left <=
-// 0` can never fire and neither may FixedStep.Next returning <= 0.
+// 0` can never fire and neither may the fixed schedule's Next return
+// <= 0.
 func TestRunnerMatchesLegacyReferenceLoopUnlimited(t *testing.T) {
 	params := Params{B: 0, I: 30, Step: 30}
 	refEng := crowd.NewEngine(gaussItems{3, 0.3}, rand.New(rand.NewSource(98)))

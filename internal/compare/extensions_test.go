@@ -9,7 +9,7 @@ import (
 func TestOneSidedCheaperThanTwoSidedSameAccuracy(t *testing.T) {
 	// §3.1's half-closed-interval remark: one-sided tests stop earlier at
 	// the same per-direction error guarantee.
-	avgFor := func(p Tester) (work float64, wrong int) {
+	avgFor := func(p Policy) (work float64, wrong int) {
 		const runs = 40
 		total := 0
 		for s := 0; s < runs; s++ {
@@ -47,8 +47,8 @@ func TestOneSidedName(t *testing.T) {
 
 func TestHoeffdingPrefDecides(t *testing.T) {
 	p := NewHoeffdingPref(0.05)
-	if p.Name() != "hoeffding-pref" || p.MinSamples() != 1 {
-		t.Errorf("unexpected metadata: %q %d", p.Name(), p.MinSamples())
+	if p.Name() != "hoeffding-pref" {
+		t.Errorf("unexpected name %q", p.Name())
 	}
 	if got := p.Test(crowd.BagView{}); got != Tie {
 		t.Errorf("empty bag = %v", got)
@@ -66,7 +66,7 @@ func TestHoeffdingPrefMoreExpensiveThanStudentOnGaussians(t *testing.T) {
 	// On well-behaved Gaussian preferences the variance-blind interval
 	// must be wider, hence costlier — the reason the paper defaults to
 	// Student and reserves Hoeffding for non-normal preferences.
-	avgFor := func(p Tester) float64 {
+	avgFor := func(p Policy) float64 {
 		const runs = 25
 		total := 0
 		for s := 0; s < runs; s++ {
@@ -89,7 +89,7 @@ func TestHoeffdingPrefVsBinaryCrossover(t *testing.T) {
 	// more. Binarization maps μ to μ̃ = 2Φ(μ/σ)−1 ≈ 0.8·μ/σ: for σ ≪ 1 it
 	// AMPLIFIES the signal (μ̃ > μ) and the binary test wins; for noisy
 	// workers (σ near the range scale) μ̃ < μ and keeping magnitudes wins.
-	avgFor := func(p Tester, sigma float64) float64 {
+	avgFor := func(p Policy, sigma float64) float64 {
 		const runs = 15
 		total := 0
 		for s := 0; s < runs; s++ {

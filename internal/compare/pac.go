@@ -65,9 +65,6 @@ func NewPAC(alpha float64) *PAC {
 // Name implements Policy.
 func (p *PAC) Name() string { return "pac" }
 
-// MinSamples implements Tester.
-func (p *PAC) MinSamples() int { return 1 }
-
 // HalfWidth implements HalfWidther: the anytime-corrected Hoeffding
 // half-width at the current sample count.
 func (p *PAC) HalfWidth(v crowd.BagView) float64 {
@@ -77,7 +74,7 @@ func (p *PAC) HalfWidth(v crowd.BagView) float64 {
 	return p.half.Get(v.N)
 }
 
-// Test implements Tester.
+// Test implements Policy.
 func (p *PAC) Test(v crowd.BagView) Outcome {
 	if v.N < 1 {
 		return Tie
@@ -94,7 +91,7 @@ func (p *PAC) Test(v crowd.BagView) Outcome {
 }
 
 // Bootstrap implements Policy.
-func (p *PAC) Bootstrap(v crowd.BagView) int { return p.boot - v.N }
+func (p *PAC) Bootstrap(v crowd.BagView, _ Params) int { return p.boot - v.N }
 
 // projected returns the sample size at which the anytime Hoeffding
 // interval is expected to shrink below the observed gap: the inversion of
@@ -112,7 +109,7 @@ func (p *PAC) projected(v crowd.BagView) float64 {
 // Next implements Policy: the geometric batch n/2, clamped by the
 // projected remaining distance, the [min, max] bounds and the budget;
 // eliminate (0) when the projection is not fundable.
-func (p *PAC) Next(v crowd.BagView, left int) int {
+func (p *PAC) Next(v crowd.BagView, left int, _ Params) int {
 	if left <= 0 {
 		return 0
 	}

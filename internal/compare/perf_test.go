@@ -73,7 +73,7 @@ func warmView() crowd.BagView {
 // run millions of times inside SPR's inner loops.
 func TestPolicyTestsAllocationFree(t *testing.T) {
 	v := warmView()
-	policies := map[string]Tester{
+	policies := map[string]Policy{
 		"student":        NewStudent(0.05),
 		"stein":          NewStein(0.05),
 		"hoeffding":      NewHoeffding(0.05),

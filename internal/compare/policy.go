@@ -1,7 +1,9 @@
 package compare
 
 import (
+	"fmt"
 	"math"
+	"strings"
 
 	"crowdtopk/internal/crowd"
 	"crowdtopk/internal/stats"
@@ -36,52 +38,123 @@ func (o Outcome) String() string {
 	}
 }
 
-// Tester decides, from the purchased samples of a pair, whether a winner
-// can be declared at the tester's confidence level. Test receives the bag
-// view oriented toward the first item of the pair. Testers are pure: they
-// never purchase samples. The paper's five estimators (Student, Stein,
-// Hoeffding, ...) are Testers; the sampling schedule around them is the
-// Policy's job.
-type Tester interface {
-	// Name identifies the tester in reports ("student", "stein", ...).
-	Name() string
-	// MinSamples is the smallest bag size the tester can decide on.
-	MinSamples() int
-	// Test returns FirstWins/SecondWins when the samples support a
-	// conclusion at the tester's confidence level, Tie otherwise.
-	Test(v crowd.BagView) Outcome
-}
-
 // Policy owns the full per-pair decision of a comparison process: the
-// verdict test (embedded Tester) plus the sampling schedule — how many
-// samples to buy before the first test, and how large the next batch
-// should be given the evidence so far. The Runner alternates Test and
+// verdict test — whether the purchased samples support a winner at the
+// policy's confidence level — and the sampling schedule: how many samples
+// to buy before the first test, and how large the next batch should be
+// given the evidence so far. The Runner alternates Test and
 // Bootstrap/Next until the policy concludes or declines to buy.
 //
-// Policies must be pure, deterministic functions of the bag view and the
-// remaining budget: the Runner calls them concurrently from many
-// goroutines and replays them against deterministic sample streams, so a
-// policy that kept per-pair mutable state would both race and break
-// byte-identical replay. Prior evidence (jstore-seeded posteriors) is
-// already folded into the bag view.
+// The paper's estimators (Student, Stein, Hoeffding, HoeffdingPref) are
+// policies that embed the fixed schedule of §5.5, which reads the
+// cold-start workload I and the batch size η from the Runner's Params;
+// the adaptive policies (VoI, PAC) size their purchases themselves and
+// ignore those two fields.
+//
+// Policies must be pure, deterministic functions of the bag view, the
+// remaining budget and the Params: the Runner calls them concurrently
+// from many goroutines and replays them against deterministic sample
+// streams, so a policy that kept per-pair mutable state would both race
+// and break byte-identical replay. Prior evidence (jstore-seeded
+// posteriors) is already folded into the bag view.
 type Policy interface {
-	Tester
+	// Name identifies the policy in reports, metric labels and the
+	// verdict-trust rule ("student", "voi", ...; see NewPolicy).
+	Name() string
+	// Test returns FirstWins/SecondWins when the samples support a
+	// conclusion at the policy's confidence level, Tie otherwise. It
+	// receives the bag view oriented toward the first item of the pair
+	// and never purchases samples.
+	Test(v crowd.BagView) Outcome
 	// Bootstrap returns how many samples the pair still needs before the
 	// stopping rule is first consulted — the cold-start workload. Zero or
 	// negative means the bag is past cold start.
-	Bootstrap(v crowd.BagView) int
+	Bootstrap(v crowd.BagView, p Params) int
 	// Next returns the size of the next batch to purchase for a pair the
 	// test left undecided, given the remaining per-pair budget left
 	// (left may be negative when a seeded prior overshot the budget).
 	// Returning <= 0 declines the purchase: the Runner concludes the pair
 	// as a budget-exhausted tie. Adaptive policies use this to abandon
 	// pairs whose projected cost to a verdict exceeds what is left.
-	Next(v crowd.BagView, left int) int
+	Next(v crowd.BagView, left int, p Params) int
+}
+
+// fixedSchedule is the paper's sampling schedule (§5.5), embedded by the
+// four estimator policies: buy the cold-start workload I in one purchase,
+// then batches of η = Step until the test concludes or the per-pair
+// budget runs dry. Both constants come from the Runner's Params, so a
+// Derived sub-phase runner reschedules the same policy value.
+type fixedSchedule struct{}
+
+// Bootstrap implements Policy: whatever is missing of the initial I.
+func (fixedSchedule) Bootstrap(v crowd.BagView, p Params) int { return p.I - v.N }
+
+// Next implements Policy: one batch of Step, clamped to the remaining
+// budget. An empty budget declines the purchase, which the Runner turns
+// into the budget-exhausted tie the fixed schedule always concluded with.
+func (fixedSchedule) Next(_ crowd.BagView, left int, p Params) int { return min(p.Step, left) }
+
+// policyTable is the static list of policy names, the default first.
+var policyTable = []struct {
+	name  string
+	build func(alpha float64) Policy
+}{
+	{"student", func(a float64) Policy { return NewStudent(a) }},
+	{"stein", func(a float64) Policy { return NewStein(a) }},
+	{"student-onesided", func(a float64) Policy { return NewStudentOneSided(a) }},
+	{"hoeffding", func(a float64) Policy { return NewHoeffding(a) }},
+	{"hoeffding-pref", func(a float64) Policy { return NewHoeffdingPref(a) }},
+	{"voi", func(a float64) Policy { return NewVoI(a) }},
+	{"pac", func(a float64) Policy { return NewPAC(a) }},
+}
+
+// PolicyNames returns the policy names NewPolicy accepts, default first —
+// the list every "unknown policy" error and flag help string enumerates.
+func PolicyNames() []string {
+	names := make([]string, len(policyTable))
+	for i, e := range policyTable {
+		names[i] = e.name
+	}
+	return names
+}
+
+// CanonicalPolicy maps a policy name to the one its verdicts are labeled
+// with. "" and "fixed" both mean "student": "fixed" named the paper's
+// schedule, which Student ran under by default, before the estimators
+// became policies, and judgment-store records from that time carry
+// "fixed" or no name at all. Every other name is its own canonical form.
+func CanonicalPolicy(name string) string {
+	if name == "" || name == "fixed" {
+		return "student"
+	}
+	return name
+}
+
+// NewPolicy builds the named policy (after CanonicalPolicy) at
+// significance level alpha. It returns an error, never panics, for an
+// unknown name, an alpha outside (0, 1), or the one-sided Student rule at
+// alpha >= 0.5, where its one-sided critical value is undefined.
+func NewPolicy(name string, alpha float64) (Policy, error) {
+	name = CanonicalPolicy(name)
+	for _, e := range policyTable {
+		if e.name != name {
+			continue
+		}
+		if !(alpha > 0 && alpha < 1) {
+			return nil, fmt.Errorf("policy %q needs a confidence in (0, 1), got %v", name, 1-alpha)
+		}
+		if name == "student-onesided" && alpha >= 0.5 {
+			return nil, fmt.Errorf("policy %q needs a confidence above 0.5, got %v", name, 1-alpha)
+		}
+		return e.build(alpha), nil
+	}
+	return nil, fmt.Errorf("unknown policy %q (available: %s)", name, strings.Join(PolicyNames(), ", "))
 }
 
 // Student implements Algorithm 1 (STUDENTCOMP): conclude when the
 // Student-t confidence interval of the preference mean excludes 0.
 type Student struct {
+	fixedSchedule
 	tt   *stats.TTable
 	name string
 }
@@ -109,13 +182,8 @@ func NewStudentOneSided(alpha float64) *Student {
 	return &Student{tt: stats.NewTTable(2 * alpha), name: "student-onesided"}
 }
 
-// Name implements Tester.
+// Name implements Policy.
 func (s *Student) Name() string { return s.name }
-
-// MinSamples implements Tester. Two samples are the bare minimum for a
-// sample standard deviation; the Runner's I parameter enforces the
-// practical minimum of 30.
-func (s *Student) MinSamples() int { return 2 }
 
 // HalfWidth implements HalfWidther: the Student-t confidence-interval
 // half-width at the current sample size (infinite below two samples).
@@ -126,7 +194,7 @@ func (s *Student) HalfWidth(v crowd.BagView) float64 {
 	return s.tt.Critical(v.N-1) * v.SD / math.Sqrt(float64(v.N))
 }
 
-// Test implements Tester.
+// Test implements Policy.
 func (s *Student) Test(v crowd.BagView) Outcome {
 	if v.N < 2 {
 		return Tie
@@ -147,6 +215,7 @@ func (s *Student) Test(v crowd.BagView) Outcome {
 // below |x̄| so that the interval always excludes 0; the rule stops as soon
 // as the current sample size supports that width.
 type Stein struct {
+	fixedSchedule
 	tt *stats.TTable
 	// eps is the paper's small positive ε keeping the interval strictly
 	// away from 0.
@@ -158,7 +227,7 @@ func NewStein(alpha float64) *Stein {
 	return &Stein{tt: stats.NewTTable(alpha), eps: 1e-9}
 }
 
-// Name implements Tester.
+// Name implements Policy.
 func (s *Stein) Name() string { return "stein" }
 
 // HalfWidth implements HalfWidther. Stein's rule targets a data-dependent
@@ -172,10 +241,7 @@ func (s *Stein) HalfWidth(v crowd.BagView) float64 {
 	return s.tt.Critical(v.N-1) * v.SD / math.Sqrt(float64(v.N))
 }
 
-// MinSamples implements Tester.
-func (s *Stein) MinSamples() int { return 2 }
-
-// Test implements Tester.
+// Test implements Policy.
 func (s *Stein) Test(v crowd.BagView) Outcome {
 	if v.N < 2 {
 		return Tie
@@ -219,6 +285,7 @@ func anytimeAlpha(alpha float64, n int) float64 {
 // preference processes use the paper's plain fixed-n t-interval
 // (Algorithm 1) and pay no such premium.
 type Hoeffding struct {
+	fixedSchedule
 	alpha float64
 	half  *stats.F64Cache // anytime half-width keyed by vote count
 }
@@ -240,7 +307,7 @@ func newHalfWidthCache(alpha float64) *stats.F64Cache {
 	})
 }
 
-// Name implements Tester.
+// Name implements Policy.
 func (h *Hoeffding) Name() string { return "hoeffding" }
 
 // HalfWidth implements HalfWidther: the anytime-corrected Hoeffding
@@ -252,10 +319,7 @@ func (h *Hoeffding) HalfWidth(v crowd.BagView) float64 {
 	return h.half.Get(v.BinN)
 }
 
-// MinSamples implements Tester.
-func (h *Hoeffding) MinSamples() int { return 1 }
-
-// Test implements Tester.
+// Test implements Policy.
 func (h *Hoeffding) Test(v crowd.BagView) Outcome {
 	if v.BinN < 1 {
 		return Tie
@@ -285,6 +349,7 @@ func (h *Hoeffding) Test(v crowd.BagView) Outcome {
 // alone. HoeffdingPref is provided for completeness and for preference
 // distributions that are asymmetric or unclipped.
 type HoeffdingPref struct {
+	fixedSchedule
 	alpha float64
 	half  *stats.F64Cache
 }
@@ -298,7 +363,7 @@ func NewHoeffdingPref(alpha float64) *HoeffdingPref {
 	return &HoeffdingPref{alpha: alpha, half: newHalfWidthCache(alpha)}
 }
 
-// Name implements Tester.
+// Name implements Policy.
 func (h *HoeffdingPref) Name() string { return "hoeffding-pref" }
 
 // HalfWidth implements HalfWidther.
@@ -309,10 +374,7 @@ func (h *HoeffdingPref) HalfWidth(v crowd.BagView) float64 {
 	return h.half.Get(v.N)
 }
 
-// MinSamples implements Tester.
-func (h *HoeffdingPref) MinSamples() int { return 1 }
-
-// Test implements Tester.
+// Test implements Policy.
 func (h *HoeffdingPref) Test(v crowd.BagView) Outcome {
 	if v.N < 1 {
 		return Tie

@@ -3,6 +3,8 @@ package compare
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -37,27 +39,77 @@ func TestOutcomeFlipAndString(t *testing.T) {
 	}
 }
 
-func TestPolicyNamesAndMinSamples(t *testing.T) {
-	for _, tc := range []struct {
-		p    Tester
-		name string
-		min  int
-	}{
-		{NewStudent(0.05), "student", 2},
-		{NewStein(0.05), "stein", 2},
-		{NewHoeffding(0.05), "hoeffding", 1},
-	} {
-		if tc.p.Name() != tc.name {
-			t.Errorf("Name = %q, want %q", tc.p.Name(), tc.name)
+func TestPolicyNames(t *testing.T) {
+	want := []string{"student", "stein", "student-onesided", "hoeffding", "hoeffding-pref", "voi", "pac"}
+	if got := PolicyNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("PolicyNames = %v, want %v", got, want)
+	}
+	for _, name := range want {
+		p, err := NewPolicy(name, 0.05)
+		if err != nil {
+			t.Fatalf("NewPolicy(%q): %v", name, err)
 		}
-		if tc.p.MinSamples() != tc.min {
-			t.Errorf("%s MinSamples = %d, want %d", tc.name, tc.p.MinSamples(), tc.min)
+		if p.Name() != name {
+			t.Errorf("NewPolicy(%q).Name() = %q", name, p.Name())
+		}
+	}
+	// The legacy spellings of the default resolve to it.
+	for _, legacy := range []string{"", "fixed"} {
+		if p, err := NewPolicy(legacy, 0.05); err != nil || p.Name() != "student" {
+			t.Errorf("NewPolicy(%q) = %v, %v; want student", legacy, p, err)
+		}
+	}
+}
+
+// NewPolicy reports every construction its policies would panic on as an
+// error: unknown names (with the canonical list), alphas outside (0, 1),
+// and the one-sided rule at alpha >= 0.5.
+func TestNewPolicyErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		alpha float64
+		want  string
+	}{
+		{"bogus", 0.05, `unknown policy "bogus" (available: student, stein, student-onesided, hoeffding, hoeffding-pref, voi, pac)`},
+		{"student-onesided", 0.5, "confidence above 0.5"},
+		{"student-onesided", 0.6, "confidence above 0.5"},
+		{"hoeffding", 0, "confidence in (0, 1)"},
+		{"pac", 1, "confidence in (0, 1)"},
+		{"fixed", -0.1, "confidence in (0, 1)"},
+	} {
+		p, err := NewPolicy(tc.name, tc.alpha)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewPolicy(%q, %v) = %v, %v; want error containing %q", tc.name, tc.alpha, p, err, tc.want)
+		}
+	}
+}
+
+// The fixed schedule reads I and Step from the Params it is handed, so a
+// Derived runner reschedules the same policy value.
+func TestFixedScheduleReadsParams(t *testing.T) {
+	p := NewStein(0.05)
+	v := crowd.BagView{N: 10}
+	for _, tc := range []struct {
+		prm        Params
+		left       int
+		boot, next int
+	}{
+		{Params{I: 30, Step: 30}, 500, 20, 30},
+		{Params{I: 12, Step: 5}, 500, 2, 5},
+		{Params{I: 30, Step: 30}, 7, 20, 7},
+		{Params{I: 30, Step: 30}, -3, 20, -3},
+	} {
+		if got := p.Bootstrap(v, tc.prm); got != tc.boot {
+			t.Errorf("Bootstrap(N=10, %+v) = %d, want %d", tc.prm, got, tc.boot)
+		}
+		if got := p.Next(v, tc.left, tc.prm); got != tc.next {
+			t.Errorf("Next(left %d, %+v) = %d, want %d", tc.left, tc.prm, got, tc.next)
 		}
 	}
 }
 
 func TestPoliciesUndecidedOnTinyBags(t *testing.T) {
-	for _, p := range []Tester{NewStudent(0.05), NewStein(0.05)} {
+	for _, p := range []Policy{NewStudent(0.05), NewStein(0.05)} {
 		if got := p.Test(crowd.BagView{N: 1, Mean: 0.9}); got != Tie {
 			t.Errorf("%s on N=1 = %v, want tie", p.Name(), got)
 		}
@@ -149,7 +201,7 @@ func TestHoeffdingDecisionRule(t *testing.T) {
 
 func TestPolicyAntisymmetryProperty(t *testing.T) {
 	// Test(view toward i) must equal Test(view toward j).Flip().
-	policies := []Tester{NewStudent(0.05), NewStein(0.05), NewHoeffding(0.05)}
+	policies := []Policy{NewStudent(0.05), NewStein(0.05), NewHoeffding(0.05)}
 	f := func(ni uint8, meanI, sdI int16, binMeanI int16) bool {
 		n := int(ni)%500 + 2
 		mean := float64(meanI) / math.MaxInt16 // [-1, 1]
@@ -195,7 +247,7 @@ func TestPolicyMonotoneInMeanProperty(t *testing.T) {
 
 func TestPoliciesAgreeOnEasyPair(t *testing.T) {
 	// A very easy pair must be decided correctly by all policies.
-	for _, p := range []Tester{NewStudent(0.02), NewStein(0.02), NewHoeffding(0.02)} {
+	for _, p := range []Policy{NewStudent(0.02), NewStein(0.02), NewHoeffding(0.02)} {
 		e := pairEngine(0.5, 0.1, 11)
 		v := e.Draw(0, 1, 200)
 		if got := p.Test(v); got != FirstWins {

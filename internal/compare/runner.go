@@ -328,20 +328,15 @@ func stripeOf(k [2]int) uint64 {
 	return x & (memoStripes - 1)
 }
 
-// NewRunner binds a decision policy to an engine. t may be a plain
-// verdict Tester — one of the paper's estimators — in which case it is
-// wrapped in the FixedStep adapter over the Params' I and Step, exactly
-// reproducing the pre-policy-layer schedule; or a full Policy, which owns
-// its sampling schedule outright.
-func NewRunner(e *crowd.Engine, t Tester, p Params) *Runner {
+// NewRunner binds a comparison policy to an engine.
+func NewRunner(e *crowd.Engine, pol Policy, p Params) *Runner {
 	if e == nil {
 		panic("compare: NewRunner requires a non-nil engine")
 	}
-	if t == nil {
+	if pol == nil {
 		panic("compare: NewRunner requires a non-nil policy")
 	}
 	p.validate()
-	pol := resolvePolicy(t, p)
 	r := &Runner{
 		eng:    e,
 		policy: pol,
@@ -356,44 +351,23 @@ func NewRunner(e *crowd.Engine, t Tester, p Params) *Runner {
 	return r
 }
 
-// resolvePolicy promotes a plain Tester to a Policy via the fixed-step
-// adapter; a value that already is a Policy is used as-is.
-func resolvePolicy(t Tester, p Params) Policy {
-	if pol, ok := t.(Policy); ok {
-		return pol
-	}
-	return NewFixedStep(t, p.I, p.Step)
-}
-
-// reparameterizer is implemented by schedule policies whose constants are
-// derived from Params (the fixed-step adapter): Derive rebuilds them for
-// the sub-phase's parameters, the way the pre-policy-layer runner read
-// I and Step from its own Params.
-type reparameterizer interface {
-	withParams(p Params) Policy
-}
-
-// withParams implements reparameterizer.
-func (f *FixedStep) withParams(p Params) Policy { return NewFixedStep(f.T, p.I, p.Step) }
-
-// SetPolicy swaps the runner's decision policy — the per-query override
+// SetPolicy swaps the runner's comparison policy — the per-query override
 // hook: a Session forks the shared runner, then pins the fork to the
-// policy the query asked for. A plain Tester is wrapped in the fixed-step
-// adapter like in NewRunner. Conclusion reuse follows the same trust rule
-// as the judgment store: verdicts are shared between queries running the
-// SAME policy (the fork switches to the session memo's side table for the
-// new policy name, shared with every other fork pinned to it), never
-// adopted across stopping semantics — an adaptive policy's early
-// surrender is not the fixed schedule's exhausted tie, and vice versa. A
-// pinned query instead re-judges such pairs under its own stopping rule
-// against the session's already-purchased evidence, which usually
-// concludes without buying new samples. Call before the query starts
-// executing.
-func (r *Runner) SetPolicy(t Tester) {
-	if t == nil {
+// policy the query asked for. Conclusion reuse follows the same trust
+// rule as the judgment store: verdicts are shared between queries running
+// the SAME policy (the fork switches to the session memo's side table for
+// the new policy name, shared with every other fork pinned to it), never
+// adopted across stopping rules — an adaptive policy's early surrender is
+// not the fixed schedule's exhausted tie, and Stein's verdict is not
+// Student's. A pinned query instead re-judges such pairs under its own
+// stopping rule against the session's already-purchased evidence, which
+// usually concludes without buying new samples. Call before the query
+// starts executing.
+func (r *Runner) SetPolicy(pol Policy) {
+	if pol == nil {
 		panic("compare: SetPolicy requires a non-nil policy")
 	}
-	r.policy = resolvePolicy(t, r.params)
+	r.policy = pol
 	r.hw, _ = r.policy.(HalfWidther)
 	r.memo = r.memo.forPolicy(r.policy.Name())
 	r.resolvePolicyCounters()
@@ -431,13 +405,9 @@ func (r *Runner) Fork() *Runner {
 // leak into the main query's verdict table.
 func (r *Runner) Derive(p Params) *Runner {
 	p.validate()
-	pol := r.policy
-	if rp, ok := pol.(reparameterizer); ok {
-		pol = rp.withParams(p)
-	}
 	d := &Runner{
 		eng:            r.eng,
-		policy:         pol,
+		policy:         r.policy,
 		params:         p,
 		tel:            r.tel,
 		ins:            r.ins,
@@ -720,19 +690,10 @@ func (r *Runner) Engine() *crowd.Engine { return r.eng }
 // this error.
 func (r *Runner) Err() error { return r.eng.Err() }
 
-// Policy returns the decision policy in use (always a full Policy: plain
-// testers were wrapped at construction).
-func (r *Runner) Policy() Policy { return r.policy }
-
-// PolicyName returns the name of the sampling-schedule policy in use
-// ("fixed", "voi", "pac", ...) — the label comparison metrics and spans
-// carry.
+// PolicyName returns the name of the comparison policy in use ("student",
+// "voi", ...) — the label comparison metrics, spans and committed
+// judgments carry.
 func (r *Runner) PolicyName() string { return r.policy.Name() }
-
-// Tester returns the verdict estimator behind the policy: the wrapped
-// tester for the fixed-step adapter, the policy itself for adaptive
-// policies that embed their own stopping rule.
-func (r *Runner) Tester() Tester { return testerOf(r.policy) }
 
 // Params returns the execution parameters.
 func (r *Runner) Params() Params { return r.params }
@@ -832,7 +793,7 @@ func (r *Runner) Compare(i, j int) Outcome {
 	v := r.eng.View(i, j)
 	verify := r.takeVerify(i, j)
 	for {
-		if need := r.policy.Bootstrap(v); need > 0 {
+		if need := r.policy.Bootstrap(v, r.params); need > 0 {
 			// Cold start: the policy's bootstrap workload arrives Step at a
 			// time, so the granted samples cost ceil(granted/Step) batch
 			// rounds (Step stays the latency constant η even when the
@@ -861,7 +822,7 @@ func (r *Runner) Compare(i, j int) Outcome {
 			// one reduced verification batch before trusting the stopping
 			// rule on decayed evidence alone.
 			verify = false
-			if n := r.policy.Next(v, r.budgetLeft(v.N)); n > 0 {
+			if n := r.policy.Next(v, r.budgetLeft(v.N), r.params); n > 0 {
 				before := v.N
 				r.execStep(func() { v = r.draw(i, j, n) })
 				if v.N == before {
@@ -878,7 +839,7 @@ func (r *Runner) Compare(i, j int) Outcome {
 			r.finishComp(st, v, o, true)
 			return o
 		}
-		n := r.policy.Next(v, r.budgetLeft(v.N))
+		n := r.policy.Next(v, r.budgetLeft(v.N), r.params)
 		if n <= 0 {
 			// The policy declines to buy: the budget ran dry, or an
 			// adaptive policy judged the verdict unreachable within it.
@@ -922,9 +883,9 @@ func (r *Runner) Advance(i, j int) (Outcome, bool) {
 	// both reduced against a cold pair's full workload — is its
 	// verification batch.
 	r.takeVerify(i, j)
-	n := r.policy.Bootstrap(v)
+	n := r.policy.Bootstrap(v, r.params)
 	if n <= 0 {
-		n = r.policy.Next(v, r.budgetLeft(v.N))
+		n = r.policy.Next(v, r.budgetLeft(v.N), r.params)
 	}
 	if left := r.budgetLeft(v.N); n > left {
 		n = left
@@ -953,7 +914,7 @@ func (r *Runner) Advance(i, j int) (Outcome, bool) {
 		}
 		return o, true
 	}
-	if r.policy.Next(v, r.budgetLeft(v.N)) <= 0 {
+	if r.policy.Next(v, r.budgetLeft(v.N), r.params) <= 0 {
 		// No further purchase is coming — the budget ran dry, or an
 		// adaptive policy judged the verdict unreachable within it: the
 		// pair concludes as a protocol-level tie.

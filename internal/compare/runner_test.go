@@ -253,7 +253,7 @@ func TestDefaultParams(t *testing.T) {
 func TestHoeffdingRunnerNeedsMoreThanStudent(t *testing.T) {
 	// The core Table 3 claim at pair level: binary judgments cost several
 	// times more microtasks than preference judgments.
-	avgFor := func(p Tester) float64 {
+	avgFor := func(p Policy) float64 {
 		total := 0
 		const runs = 25
 		for s := 0; s < runs; s++ {

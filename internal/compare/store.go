@@ -56,7 +56,7 @@ const (
 type seenEntry struct {
 	d      storeDecision
 	o      Outcome // toward lo, valid when d == storeHit
-	pol    string  // committing policy of a hit record ("" reads as "fixed")
+	pol    string  // committing policy of a hit record (see trustsPolicy)
 	verify bool    // stale prior seeded, one reduced batch still owed
 }
 
@@ -201,12 +201,12 @@ func (r *Runner) consultLocked(js *storeState, k [2]int) seenEntry {
 	}
 	stale, decay := js.pol.stale(rec, js.now())
 	if !stale && !r.trustsPolicy(rec.Policy) {
-		// Concluded under a different sampling policy than this runner's:
-		// the verdict was reached under stopping semantics the consumer
-		// did not choose (an adaptive policy's early surrender is not the
-		// fixed schedule's exhausted tie, and vice versa). Downgrade the
-		// fresh hit to a full-strength prior and re-verify at reduced
-		// cost instead of trusting it outright.
+		// Concluded under a different policy than this runner's: the
+		// verdict was reached under a stopping rule the consumer did not
+		// choose (an adaptive policy's early surrender is not the fixed
+		// schedule's exhausted tie, Stein's verdict is not Student's).
+		// Downgrade the fresh hit to a full-strength prior and re-verify
+		// at reduced cost instead of trusting it outright.
 		stale, decay = true, 1
 	}
 	post := crowd.PairPosterior{
@@ -267,14 +267,11 @@ func (r *Runner) consultLocked(js *storeState, k [2]int) seenEntry {
 }
 
 // trustsPolicy reports whether a stored record's committing policy is
-// trustworthy to this runner as a verdict. Records from before the
-// policy layer carry no name and are read as "fixed", the only schedule
-// that existed when they were committed.
+// trustworthy to this runner as a verdict: only a record committed under
+// the same policy name is. Legacy records named "fixed" or nothing at all
+// read as "student" (CanonicalPolicy).
 func (r *Runner) trustsPolicy(committed string) bool {
-	if committed == "" {
-		committed = "fixed"
-	}
-	return committed == r.policy.Name()
+	return CanonicalPolicy(committed) == r.policy.Name()
 }
 
 // takeVerify consumes the pair's pending stale-verification obligation:

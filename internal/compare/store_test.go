@@ -261,7 +261,7 @@ func TestCrossPolicyRecordDowngradedToPrior(t *testing.T) {
 	store := jstore.NewMemStore()
 	pol := StorePolicy{Confidence: 0.98}
 
-	// Conclude and commit under the fixed-step schedule.
+	// Conclude and commit under Student.
 	cold := itemsRunner(2, 0.1, params, 81)
 	cold.SetJudgmentStore(store, pol)
 	coldOut := cold.Compare(0, 1)
@@ -271,8 +271,8 @@ func TestCrossPolicyRecordDowngradedToPrior(t *testing.T) {
 	}
 	cold.CommitConclusions()
 	rec, ok := store.Lookup(0, 1)
-	if !ok || rec.Policy != "fixed" {
-		t.Fatalf("committed record = (%+v, %v), want Policy \"fixed\"", rec, ok)
+	if !ok || rec.Policy != "student" {
+		t.Fatalf("committed record = (%+v, %v), want Policy \"student\"", rec, ok)
 	}
 
 	// A same-policy consumer gets the fresh hit: verdict served free.
@@ -308,29 +308,45 @@ func TestCrossPolicyRecordDowngradedToPrior(t *testing.T) {
 		t.Errorf("cross-policy StoreStats = %+v, want 0 hits, 1 stale", ss)
 	}
 
-	// A record from before the policy layer carries no name and is read
-	// as "fixed": trusted by a fixed consumer, downgraded by an adaptive
-	// one.
-	legacy := rec
-	legacy.Policy = ""
-	store.Commit(legacy)
+}
 
-	fixedLegacy := itemsRunner(2, 0.1, params, 81)
-	fixedLegacy.SetJudgmentStore(store, pol)
-	fixedLegacy.Compare(0, 1)
-	if tmc := fixedLegacy.Engine().TMC(); tmc != 0 {
-		t.Errorf("legacy nameless record cost a fixed consumer %d microtasks, want 0", tmc)
+// Records committed before the estimators became policies carry "fixed"
+// or no policy name. Both read as "student": a Student consumer trusts
+// them as verdicts; a Stein or VoI consumer — a different stopping rule —
+// re-verifies them as priors.
+func TestLegacyRecordsTrustedByStudentOnly(t *testing.T) {
+	params := Params{B: 1000, I: 30, Step: 30}
+	pol := StorePolicy{Confidence: 0.98}
+	src := jstore.NewMemStore()
+	cold := itemsRunner(2, 0.1, params, 81)
+	cold.SetJudgmentStore(src, pol)
+	if cold.Compare(0, 1) == Tie {
+		t.Fatal("cold run inconclusive; seed no longer exercises the scenario")
 	}
+	cold.CommitConclusions()
+	rec, _ := src.Lookup(0, 1)
 
-	voiLegacyEng := crowd.NewEngine(gaussItems{2, 0.1}, rand.New(rand.NewSource(81)))
-	voiLegacy := NewRunner(voiLegacyEng, NewVoI(0.02), params)
-	voiLegacy.SetJudgmentStore(store, pol)
-	voiLegacy.Compare(0, 1)
-	if tmc := voiLegacy.Engine().TMC(); tmc == 0 {
-		t.Error("legacy nameless record served to a voi consumer as a free verdict")
-	}
-	if ss := voiLegacy.StoreStats(); ss.Stale != 1 {
-		t.Errorf("voi-consumer StoreStats on legacy record = %+v, want 1 stale", ss)
+	for _, name := range []string{"", "fixed"} {
+		legacy := rec
+		legacy.Policy = name
+		store := jstore.NewMemStore()
+		store.Commit(legacy)
+
+		student := itemsRunner(2, 0.1, params, 81)
+		student.SetJudgmentStore(store, pol)
+		student.Compare(0, 1)
+		if tmc, ss := student.Engine().TMC(), student.StoreStats(); tmc != 0 || ss.Hits != 1 {
+			t.Errorf("record pol %q: student consumer spent %d microtasks with %+v, want a free hit", name, tmc, ss)
+		}
+
+		for _, other := range []Policy{NewStein(0.02), NewVoI(0.02)} {
+			r := NewRunner(crowd.NewEngine(gaussItems{2, 0.1}, rand.New(rand.NewSource(81))), other, params)
+			r.SetJudgmentStore(store, pol)
+			r.Compare(0, 1)
+			if tmc, ss := r.Engine().TMC(), r.StoreStats(); tmc == 0 || ss.Stale != 1 {
+				t.Errorf("record pol %q: %s consumer spent %d microtasks with %+v, want a re-verified prior", name, other.Name(), tmc, ss)
+			}
+		}
 	}
 }
 

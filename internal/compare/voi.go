@@ -68,9 +68,6 @@ func NewVoI(alpha float64) *VoI {
 // Name implements Policy.
 func (p *VoI) Name() string { return "voi" }
 
-// MinSamples implements Tester.
-func (p *VoI) MinSamples() int { return 2 }
-
 // HalfWidth implements HalfWidther: the credible-interval half-width of
 // the posterior mean.
 func (p *VoI) HalfWidth(v crowd.BagView) float64 {
@@ -80,7 +77,7 @@ func (p *VoI) HalfWidth(v crowd.BagView) float64 {
 	return p.z * v.SD / math.Sqrt(float64(v.N))
 }
 
-// Test implements Tester: conclude when the credible interval excludes 0.
+// Test implements Policy: conclude when the credible interval excludes 0.
 func (p *VoI) Test(v crowd.BagView) Outcome {
 	if v.N < 2 {
 		return Tie
@@ -97,7 +94,7 @@ func (p *VoI) Test(v crowd.BagView) Outcome {
 }
 
 // Bootstrap implements Policy.
-func (p *VoI) Bootstrap(v crowd.BagView) int { return p.boot - v.N }
+func (p *VoI) Bootstrap(v crowd.BagView, _ Params) int { return p.boot - v.N }
 
 // projected returns the total sample size n* at which the credible
 // interval is expected to exclude 0, +Inf when the mean carries no
@@ -118,7 +115,7 @@ func (p *VoI) projected(v crowd.BagView) float64 {
 // Next implements Policy: half the projected remaining distance to a
 // verdict, clamped to [min, max] and the budget; surrender (0) when the
 // projection is not fundable from what is left.
-func (p *VoI) Next(v crowd.BagView, left int) int {
+func (p *VoI) Next(v crowd.BagView, left int, _ Params) int {
 	if left <= 0 {
 		return 0
 	}

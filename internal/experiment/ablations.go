@@ -87,7 +87,7 @@ func AblationJudgment(cfg Config) []*Table {
 	n := sub.NumItems()
 	alpha := cfg.Alpha
 
-	policies := []compare.Tester{
+	policies := []compare.Policy{
 		compare.NewStudent(alpha),
 		compare.NewStudentOneSided(alpha),
 		compare.NewStein(alpha),

@@ -54,7 +54,7 @@ func Figure17(cfg Config) []*Table {
 			kcfg.K = k
 			var total float64
 			for run := 0; run < kcfg.Runs; run++ {
-				var policy compare.Tester
+				var policy compare.Policy
 				if policyName == "student" {
 					policy = compare.NewStudent(kcfg.Alpha)
 				} else {

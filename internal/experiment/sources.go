@@ -45,7 +45,7 @@ func newRunner(src dataset.Source, cfg Config, runSeed int64) *compare.Runner {
 
 // newRunnerWithPolicy is newRunner with an explicit comparison policy
 // (used by the Stein-vs-Student study, Figure 17).
-func newRunnerWithPolicy(src dataset.Source, cfg Config, policy compare.Tester, runSeed int64) *compare.Runner {
+func newRunnerWithPolicy(src dataset.Source, cfg Config, policy compare.Policy, runSeed int64) *compare.Runner {
 	eng := crowd.NewEngine(src, rand.New(rand.NewSource(runSeed)))
 	return compare.NewRunner(eng, policy, compare.Params{B: cfg.B, I: cfg.I, Step: cfg.Eta})
 }

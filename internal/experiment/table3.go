@@ -34,11 +34,11 @@ func Table3(cfg Config) []*Table {
 	}
 	models := []struct {
 		label  string
-		policy func(alpha float64) compare.Tester
+		policy func(alpha float64) compare.Policy
 	}{
-		{"binary-hoeffding", func(a float64) compare.Tester { return compare.NewHoeffding(a) }},
-		{"preference-student", func(a float64) compare.Tester { return compare.NewStudent(a) }},
-		{"preference-stein", func(a float64) compare.Tester { return compare.NewStein(a) }},
+		{"binary-hoeffding", func(a float64) compare.Policy { return compare.NewHoeffding(a) }},
+		{"preference-student", func(a float64) compare.Policy { return compare.NewStudent(a) }},
+		{"preference-stein", func(a float64) compare.Policy { return compare.NewStein(a) }},
 	}
 	var rows []string
 	for _, m := range models {

@@ -52,13 +52,13 @@ type Record struct {
 	// as a prior to verify, not a verdict to trust.
 	Confidence float64 `json:"conf"`
 
-	// Policy names the comparison sampling-schedule policy that concluded
-	// the verdict ("fixed", "voi", "pac", ...). A query running under a
-	// different policy treats the record as a prior to verify, not a
-	// verdict to trust — the stopping semantics it was concluded under are
-	// not the consumer's. Empty on records from before the policy layer,
-	// which are read as "fixed" — the only schedule that existed when
-	// they were committed.
+	// Policy names the comparison policy that concluded the verdict
+	// ("student", "stein", "voi", ...). A query running under a different
+	// policy treats the record as a prior to verify, not a verdict to
+	// trust — the stopping rule it was concluded under is not the
+	// consumer's. Older records carry "fixed" (the paper's schedule,
+	// named apart from its estimator) or nothing at all (from before
+	// policies were named); both are read as "student".
 	Policy string `json:"pol,omitempty"`
 
 	// Seq is the store's logical commit timestamp: a monotonic sequence

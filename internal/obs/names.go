@@ -167,13 +167,13 @@ var (
 )
 
 // PolicyComparisons returns the labeled counter name attributing started
-// comparison processes to one sampling policy ("fixed", "voi", "pac").
+// comparison processes to one comparison policy ("student", "voi", ...).
 func PolicyComparisons(policy string) string {
 	return `crowdtopk_comparisons_total{policy="` + policy + `"}`
 }
 
 // PolicyConcluded returns the labeled counter name attributing concluded
-// (verdict-reaching) comparison processes to one sampling policy.
+// (verdict-reaching) comparison processes to one comparison policy.
 func PolicyConcluded(policy string) string {
 	return `crowdtopk_comparisons_concluded_total{policy="` + policy + `"}`
 }

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,8 +142,8 @@ type Request struct {
 	// Algorithm optionally overrides the session default
 	// ("spr", "tourtree", "heapsort", "quickselect", "pbr").
 	Algorithm string `json:"algorithm,omitempty"`
-	// Policy optionally overrides the session's comparison sampling
-	// policy for this query ("fixed", "voi", "pac", ...; the full list is
+	// Policy optionally overrides the session's comparison policy for
+	// this query ("student", "voi", ...; the full list is
 	// crowdtopk.PolicyNames). Empty keeps the session default.
 	Policy string `json:"policy,omitempty"`
 	// MaxCost is the per-query budget sub-cap in microtasks (0 = none).
@@ -452,10 +451,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "unknown algorithm %q", req.Algorithm)
 		return
 	}
-	if req.Policy != "" && !crowdtopk.PolicyRegistered(req.Policy) {
-		httpError(w, http.StatusBadRequest, "unknown policy %q (available: %s)",
-			req.Policy, strings.Join(crowdtopk.PolicyNames(), ", "))
+	pol, err := s.cfg.Session.ResolvePolicy(crowdtopk.PolicyName(req.Policy))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	if req.Policy != "" {
+		req.Policy = string(pol) // "fixed" is recorded as "student"
 	}
 	if req.MaxCost < 0 {
 		httpError(w, http.StatusBadRequest, "max_cost must be >= 0")

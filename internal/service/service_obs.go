@@ -16,7 +16,7 @@ import (
 type ExplainResponse struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
-	// Policy is the comparison sampling policy the query ran under.
+	// Policy is the comparison policy the query ran under.
 	Policy string `json:"policy,omitempty"`
 	// Enabled reports whether attribution was recording for this query
 	// (session telemetry on, or QueryOptions.Explain). A disabled query

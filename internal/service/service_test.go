@@ -209,8 +209,8 @@ func TestPerQueryPolicyOverride(t *testing.T) {
 	}
 
 	st2, _ := postQuery(t, hs.URL, Request{K: 3})
-	if f2 := waitDone(t, hs.URL, st2.ID); f2.Policy != "fixed" {
-		t.Fatalf("default query policy %q, want fixed", f2.Policy)
+	if f2 := waitDone(t, hs.URL, st2.ID); f2.Policy != "student" {
+		t.Fatalf("default query policy %q, want student", f2.Policy)
 	}
 
 	eresp, err := http.Get(hs.URL + "/queries/" + st.ID + "/explain")
@@ -235,11 +235,81 @@ func TestPerQueryPolicyOverride(t *testing.T) {
 	_, _ = buf.ReadFrom(mresp.Body)
 	for _, want := range []string{
 		`crowdtopk_comparisons_total{policy="voi"}`,
-		`crowdtopk_comparisons_total{policy="fixed"}`,
+		`crowdtopk_comparisons_total{policy="student"}`,
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("/metrics missing %s", want)
 		}
+	}
+}
+
+// postRaw POSTs a query and returns the status code and raw body.
+func postRaw(t *testing.T, base string, req Request) (int, string) {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(base+"/queries", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	_, _ = buf.ReadFrom(resp.Body)
+	return resp.StatusCode, buf.String()
+}
+
+// Every policy name, and "fixed" (the older name of student), is
+// admitted and answers; an unknown name is refused at admission with the
+// canonical list.
+func TestPolicyAdmission(t *testing.T) {
+	_, hs, _ := newTestServer(t, crowdtopk.SyntheticDataset(30, 0.3, 7), Config{})
+	for _, name := range append(crowdtopk.PolicyNames(), "fixed") {
+		st, code := postQuery(t, hs.URL, Request{K: 3, Policy: name})
+		if code != http.StatusAccepted {
+			t.Fatalf("policy %q: status %d, want 202", name, code)
+		}
+		want := name
+		if name == "fixed" {
+			want = "student"
+		}
+		if f := waitDone(t, hs.URL, st.ID); f.State != "done" || f.Error != "" || f.Policy != want || len(f.TopK) != 3 {
+			t.Errorf("policy %q: final %+v, want done under %q with 3 items", name, f, want)
+		}
+	}
+	code, body := postRaw(t, hs.URL, Request{K: 3, Policy: "bogus"})
+	if want := "available: " + strings.Join(crowdtopk.PolicyNames(), ", "); code != http.StatusBadRequest || !strings.Contains(body, want) {
+		t.Errorf("bogus policy: %d %q, want 400 listing %q", code, body, want)
+	}
+}
+
+// A per-request override the session's confidence cannot support (the
+// one-sided rule needs confidence > 0.5) is refused at admission, and the
+// daemon keeps serving.
+func TestPolicyAdmissionRefusesUnrunnableOverride(t *testing.T) {
+	sess, err := crowdtopk.NewSession(crowdtopk.SyntheticDataset(20, 0.3, 7), crowdtopk.Options{
+		Confidence: 0.5, Budget: 25, MinWorkload: 10, Parallelism: 2, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Session: sess})
+	hs := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		hs.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		_ = sess.Close()
+	})
+	code, body := postRaw(t, hs.URL, Request{K: 3, Policy: "student-onesided"})
+	if code != http.StatusBadRequest || !strings.Contains(body, "confidence above 0.5") {
+		t.Fatalf("one-sided at confidence 0.5: %d %q, want 400", code, body)
+	}
+	st, code := postQuery(t, hs.URL, Request{K: 3})
+	if code != http.StatusAccepted {
+		t.Fatalf("follow-up query: status %d, want 202", code)
+	}
+	if f := waitDone(t, hs.URL, st.ID); f.State != "done" || len(f.TopK) != 3 {
+		t.Fatalf("follow-up query: %+v", f)
 	}
 }
 

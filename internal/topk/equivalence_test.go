@@ -20,7 +20,7 @@ func runnerAt(n int, noise float64, seed int64, parallelism int) *compare.Runner
 }
 
 // TestCompareAllParallelEquivalence is the core determinism contract of the
-// concurrent engine: compareAll over the same pair list — duplicates, both
+// concurrent engine: one flat plan driven over the same pair list — duplicates, both
 // orientations and identical-item pairs included — returns byte-identical
 // outcomes, cost and latency whether waves run on one goroutine or eight.
 func TestCompareAllParallelEquivalence(t *testing.T) {
@@ -39,8 +39,10 @@ func TestCompareAllParallelEquivalence(t *testing.T) {
 	for _, seed := range []int64{501, 502, 503} {
 		r1 := runnerAt(n, 0.25, seed, 1)
 		r8 := runnerAt(n, 0.25, seed, 8)
-		out1 := compareAll(r1, pairs)
-		out8 := compareAll(r8, pairs)
+		p1, p8 := newFlatPlan(pairs), newFlatPlan(pairs)
+		drive(r1, p1)
+		drive(r8, p8)
+		out1, out8 := p1.out, p8.out
 		if !reflect.DeepEqual(out1, out8) {
 			t.Errorf("seed %d: outcomes diverged\n p=1: %v\n p=8: %v", seed, out1, out8)
 		}
@@ -153,7 +155,7 @@ func TestParallelAccountingInvariants(t *testing.T) {
 	}
 }
 
-// FuzzCompareAllGrouping feeds compareAll arbitrary pair lists and checks
+// FuzzCompareAllGrouping drives flat plans of arbitrary pair lists and checks
 // the grouping/orientation algebra: requests for the same unordered pair
 // agree up to Flip, identical-item pairs are ties, and the whole batch is
 // reproducible.
@@ -172,7 +174,9 @@ func FuzzCompareAllGrouping(f *testing.F) {
 		}
 
 		r := runnerAt(n, 0.2, seed, 4)
-		out := compareAll(r, pairs)
+		p := newFlatPlan(pairs)
+		drive(r, p)
+		out := p.out
 		if len(out) != len(pairs) {
 			t.Fatalf("got %d outcomes for %d pairs", len(out), len(pairs))
 		}
@@ -198,7 +202,9 @@ func FuzzCompareAllGrouping(f *testing.F) {
 
 		// The batch is reproducible: a fresh sequential runner with the
 		// same seed returns the same outcomes.
-		again := compareAll(runnerAt(n, 0.2, seed, 1), pairs)
+		rerun := newFlatPlan(pairs)
+		drive(runnerAt(n, 0.2, seed, 1), rerun)
+		again := rerun.out
 		if !reflect.DeepEqual(out, again) {
 			t.Fatalf("rerun diverged:\n first: %v\n again: %v", out, again)
 		}

@@ -5,25 +5,6 @@ import (
 	"crowdtopk/internal/sched"
 )
 
-// compareAll drives the comparison processes of all given pairs to
-// completion on the shared scheduler and returns the outcome of every
-// pair, oriented toward the pair's first item. Pairs already concluded
-// complete immediately at zero cost, duplicate pairs (in either
-// orientation) share one comparison process, and identical-item pairs
-// are ties by definition.
-//
-// It is a thin compatibility shim over the plan driver: the batch is a
-// flatPlan, so in deterministic mode every still-undecided pair advances
-// by one batch per lockstep wave — one latency round per wave (§5.5),
-// byte-identical to sequential execution for a fixed seed — while in
-// async mode each pair free-runs and frees its pool slot the moment it
-// concludes.
-func compareAll(r *compare.Runner, pairs [][2]int) []compare.Outcome {
-	p := newFlatPlan(pairs)
-	drive(r, p)
-	return p.out
-}
-
 // drawResult is one answer of a drawAll batch.
 type drawResult struct {
 	v  float64

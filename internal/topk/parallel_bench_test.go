@@ -45,7 +45,7 @@ func (o slowOracle) Preferences(rng *rand.Rand, i, j int, dst []float64) {
 	}
 }
 
-// benchCompareAll measures one full compareAll batch — 200 pairs of a
+// benchCompareAll measures one full flat-plan batch — 200 pairs of a
 // 60-item instance racing to conclusion in waves — at the given pool bound.
 func benchCompareAll(b *testing.B, parallelism int) {
 	b.Helper()
@@ -61,7 +61,7 @@ func benchCompareAll(b *testing.B, parallelism int) {
 			rand.New(rand.NewSource(int64(it+1))))
 		r := compare.NewRunner(eng, compare.NewStudent(0.05),
 			compare.Params{B: 300, I: 30, Step: 30, Parallelism: parallelism})
-		compareAll(r, pairs)
+		drive(r, newFlatPlan(pairs))
 	}
 }
 

@@ -2,9 +2,11 @@ package topk
 
 import "crowdtopk/internal/compare"
 
-// flatPlan answers a fixed batch of pairs — the shape of compareAll and
-// of quickselect's pivot phase. Every pair is ready immediately; outcomes
-// are recorded raw, oriented toward each pair's first item.
+// flatPlan answers a fixed batch of pairs — the shape of quickselect's
+// pivot phase. Every pair is ready immediately; outcomes are recorded
+// raw, oriented toward each pair's first item. The driver gives
+// duplicate pairs (in either orientation) one shared comparison process
+// and decides identical-item pairs as ties.
 type flatPlan struct {
 	pairs  [][2]int
 	out    []compare.Outcome

@@ -249,7 +249,9 @@ func TestMaxItemAndMaxItemsExact(t *testing.T) {
 func TestCompareAllDedupesAndOrients(t *testing.T) {
 	r, _ := exactRunner(10, 38)
 	pairs := [][2]int{{0, 1}, {1, 0}, {0, 1}, {2, 2}}
-	outs := compareAll(r, pairs)
+	p := newFlatPlan(pairs)
+	drive(r, p)
+	outs := p.out
 	if outs[0] != outs[1].Flip() || outs[0] != outs[2] {
 		t.Errorf("duplicate orientations disagree: %v", outs)
 	}

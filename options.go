@@ -3,7 +3,6 @@ package crowdtopk
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"time"
 
 	"crowdtopk/internal/compare"
@@ -51,78 +50,61 @@ const (
 	Async SchedulingMode = "async"
 )
 
-// Estimator selects the statistical stopping rule of the comparison
-// process.
-type Estimator string
-
-// The available estimators.
-const (
-	// Student is Algorithm 1 (STUDENTCOMP): Student-t confidence
-	// intervals on preference means. The default.
-	Student Estimator = "student"
-	// Stein is Algorithm 5 (STEINCOMP): Stein's estimation, recast
-	// progressively. Its stopping rule is algebraically equivalent to
-	// Student's; both are offered as in the paper.
-	Stein Estimator = "stein"
-	// StudentOneSided uses half-closed (one-sided) intervals, the §3.1
-	// extension: ~20% cheaper than Student at the same per-direction
-	// error guarantee.
-	StudentOneSided Estimator = "student-onesided"
-	// HoeffdingBinary judges from the signs of the preferences only,
-	// with anytime Hoeffding intervals. Distribution-free but several
-	// times more expensive (Table 3).
-	HoeffdingBinary Estimator = "hoeffding"
-	// HoeffdingPreference applies distribution-free intervals to the raw
-	// preference magnitudes (footnote 3 of the paper) — for preference
-	// distributions that are not normal. On well-behaved rating data it
-	// is dominated by both Student and HoeffdingBinary.
-	HoeffdingPreference Estimator = "hoeffding-pref"
-)
-
-// PolicyName selects the comparison sampling-schedule policy: who decides
-// how many samples a pair buys next, and when to stop paying. The
-// estimator answers "is the verdict in yet?"; the policy answers "what do
-// we buy about it?".
+// PolicyName selects the comparison policy: the statistical stopping rule
+// that decides whether a pair's verdict is in, together with the sampling
+// schedule that decides how many microtasks to buy about it next. The
+// full list is PolicyNames().
 type PolicyName string
 
-// The built-in policies. The full list — including any future additions —
-// is PolicyNames().
+// The available policies.
 const (
-	// FixedPolicy is the paper's schedule (§5.5): MinWorkload samples to
-	// overcome cold start, then BatchSize per batch until the estimator
-	// concludes or the per-pair Budget runs dry. The default, and
-	// byte-identical to the pre-policy-layer behavior.
-	FixedPolicy PolicyName = "fixed"
+	// Student is Algorithm 1 (STUDENTCOMP): Student-t confidence
+	// intervals on preference means under the paper's fixed schedule
+	// (§5.5) — MinWorkload samples to overcome cold start, then
+	// BatchSize per batch until the interval excludes 0 or the per-pair
+	// Budget runs dry. The default.
+	Student PolicyName = "student"
+	// Stein is Algorithm 5 (STEINCOMP): Stein's estimation, recast
+	// progressively, on the fixed schedule. Its stopping rule is
+	// algebraically equivalent to Student's; both are offered as in the
+	// paper.
+	Stein PolicyName = "stein"
+	// StudentOneSided uses half-closed (one-sided) intervals, the §3.1
+	// extension, on the fixed schedule: ~20% cheaper than Student at the
+	// same per-direction error guarantee. It needs Confidence > 0.5.
+	StudentOneSided PolicyName = "student-onesided"
+	// HoeffdingBinary judges from the signs of the preferences only,
+	// with anytime Hoeffding intervals, on the fixed schedule.
+	// Distribution-free but several times more expensive (Table 3).
+	HoeffdingBinary PolicyName = "hoeffding"
+	// HoeffdingPreference applies distribution-free intervals to the raw
+	// preference magnitudes (footnote 3 of the paper) on the fixed
+	// schedule — for preference distributions that are not normal. On
+	// well-behaved rating data it is dominated by both Student and
+	// HoeffdingBinary.
+	HoeffdingPreference PolicyName = "hoeffding-pref"
 	// VoIPolicy is a Bayesian value-of-information policy (Chen–Jiao–Lin
-	// style): it sizes batches by the posterior's projected distance to a
-	// verdict and stops paying for pairs whose verdict is not fundable
-	// from the remaining budget — near-ties surrender early instead of
-	// burning the full per-pair Budget. It brings its own stopping rule;
-	// Estimator is ignored under it.
+	// style): a normal credible interval on the preference mean, with
+	// batches sized by the posterior's projected distance to a verdict;
+	// it stops paying for pairs whose verdict is not fundable from the
+	// remaining budget — near-ties surrender early instead of burning
+	// the full per-pair Budget.
 	VoIPolicy PolicyName = "voi"
 	// PACPolicy is a PAC gap-elimination policy (Ren–Liu–Shroff style):
-	// an anytime-valid Hoeffding race whose batch sizes grow geometrically
-	// with the observed gap's projected sample need, eliminating pairs
-	// whose gap cannot be separated within budget. Distribution-free; it
-	// brings its own stopping rule and ignores Estimator.
+	// an anytime-valid Hoeffding race whose batch sizes grow
+	// geometrically with the observed gap's projected sample need,
+	// eliminating pairs whose gap cannot be separated within budget.
+	// Distribution-free.
 	PACPolicy PolicyName = "pac"
+	// FixedPolicy is an older spelling of Student, from when the fixed
+	// schedule and the Student estimator were chosen separately. It is
+	// accepted wherever a policy name is and runs exactly as Student.
+	FixedPolicy PolicyName = "fixed"
 )
 
-// PolicyNames returns the names of every registered comparison policy,
-// sorted — the list -policy flags and error messages enumerate.
+// PolicyNames returns the names of every comparison policy, the default
+// first — the list -policy flags and error messages enumerate.
 func PolicyNames() []string { return compare.PolicyNames() }
-
-// PolicyRegistered reports whether name is a registered comparison
-// policy — the check service layers run before admitting a request.
-func PolicyRegistered(name string) bool { return compare.PolicyRegistered(name) }
-
-// EstimatorNames returns the available estimator names, sorted.
-func EstimatorNames() []string {
-	return []string{
-		string(HoeffdingBinary), string(HoeffdingPreference),
-		string(Stein), string(Student), string(StudentOneSided),
-	}
-}
 
 // Options configures a Query or a Judge call. The zero value of every
 // field selects the paper's default (Table 6).
@@ -131,12 +113,8 @@ type Options struct {
 	K int
 	// Algorithm picks the query processor (default SPR).
 	Algorithm Algorithm
-	// Estimator picks the comparison stopping rule (default Student).
-	// Adaptive policies (VoIPolicy, PACPolicy) embed their own stopping
-	// rule and ignore it.
-	Estimator Estimator
-	// Policy picks the comparison sampling-schedule policy (default
-	// FixedPolicy, the paper's fixed-step schedule). See PolicyName.
+	// Policy picks the comparison policy: stopping rule and sampling
+	// schedule (default Student). See PolicyName.
 	Policy PolicyName
 	// Confidence is the per-comparison confidence level 1−α in (0, 1)
 	// (default 0.98).
@@ -227,12 +205,7 @@ func (o Options) withDefaults() Options {
 	if o.Algorithm == "" {
 		o.Algorithm = SPR
 	}
-	if o.Estimator == "" {
-		o.Estimator = Student
-	}
-	if o.Policy == "" {
-		o.Policy = FixedPolicy
-	}
+	o.Policy = PolicyName(compare.CanonicalPolicy(string(o.Policy)))
 	if o.Confidence == 0 {
 		o.Confidence = 0.98
 	}
@@ -274,19 +247,6 @@ func (o Options) validate(n int) error {
 	case SPR, TourTree, HeapSort, QuickSelect, PBR:
 	default:
 		return fmt.Errorf("crowdtopk: unknown algorithm %q", o.Algorithm)
-	}
-	switch o.Estimator {
-	case Student, Stein, StudentOneSided, HoeffdingBinary, HoeffdingPreference:
-	default:
-		return fmt.Errorf("crowdtopk: unknown estimator %q (available: %s)",
-			o.Estimator, strings.Join(EstimatorNames(), ", "))
-	}
-	if !compare.PolicyRegistered(string(o.Policy)) {
-		return fmt.Errorf("crowdtopk: unknown policy %q (available: %s)",
-			o.Policy, strings.Join(PolicyNames(), ", "))
-	}
-	if o.Estimator == StudentOneSided && o.Confidence <= 0.5 {
-		return fmt.Errorf("crowdtopk: one-sided estimation requires confidence > 0.5, got %v", o.Confidence)
 	}
 	if o.PriorScores != nil && len(o.PriorScores) != n {
 		return fmt.Errorf("crowdtopk: PriorScores has %d entries for %d items", len(o.PriorScores), n)

@@ -44,14 +44,14 @@ type QueryOptions struct {
 	// ("" keeps the session default). All algorithms share the session's
 	// purchased evidence either way.
 	Algorithm Algorithm
-	// Policy overrides the session's comparison sampling-schedule policy
-	// for this call ("" keeps the session default) — per-tenant policy
-	// selection on one shared session. The query runs its comparisons
-	// under the named policy while sharing the session's purchased
-	// evidence; conclusions memoized by earlier queries are reused as-is
-	// within the session (cross-policy trust across sessions is handled
-	// by the judgment store, which re-verifies verdicts committed under a
-	// different policy).
+	// Policy overrides the session's comparison policy for this call (""
+	// keeps the session default) — per-tenant policy selection on one
+	// shared session. The query runs its comparisons under the named
+	// policy while sharing the session's purchased evidence; verdicts
+	// are reused only between queries under the same policy (within the
+	// session through the conclusion memo, across sessions through the
+	// judgment store), and a different policy re-judges a pair under its
+	// own stopping rule.
 	Policy PolicyName
 	// MaxCost carves a per-query budget sub-cap out of the session's
 	// TotalBudget: this query may charge at most MaxCost microtasks.
@@ -94,8 +94,8 @@ func (h *QueryHandle) K() int { return h.k }
 // Algorithm returns the processor answering the query.
 func (h *QueryHandle) Algorithm() Algorithm { return h.alg }
 
-// Policy returns the name of the comparison sampling-schedule policy the
-// query runs under ("fixed", "voi", "pac", ...).
+// Policy returns the name of the comparison policy the query runs under
+// ("student", "voi", ...; the legacy spelling "fixed" reads as "student").
 func (h *QueryHandle) Policy() PolicyName { return PolicyName(h.fork.PolicyName()) }
 
 // Priority returns the query's scheduling priority.
@@ -160,6 +160,36 @@ func (s *Session) TopKContext(ctx context.Context, k int, qo QueryOptions) (Resu
 	return h.Wait()
 }
 
+// ResolvePolicy returns the canonical name of the policy a query on this
+// session asking for name runs under ("" resolves to the session's own),
+// or why it cannot run: an unknown name, or a confidence the policy
+// cannot run at. It is the check StartTopK makes, for callers that admit
+// queries before starting them.
+func (s *Session) ResolvePolicy(name PolicyName) (PolicyName, error) {
+	pol, err := s.queryPolicy(name)
+	switch {
+	case err != nil:
+		return "", err
+	case pol == nil:
+		return s.opts.Policy, nil
+	}
+	return PolicyName(pol.Name()), nil
+}
+
+// queryPolicy builds a query's policy override: nil when the query runs
+// under the session's own policy ("" or any spelling of it), so the
+// common case shares the session policy instead of building a new one.
+func (s *Session) queryPolicy(name PolicyName) (compare.Policy, error) {
+	if name == "" {
+		return nil, nil
+	}
+	name = PolicyName(compare.CanonicalPolicy(string(name)))
+	if name == s.opts.Policy {
+		return nil, nil
+	}
+	return newPolicy(name, s.opts.Confidence)
+}
+
 // StartTopK begins a top-k query asynchronously and returns a handle for
 // progress, cancellation and the result — the primitive a long-running
 // query service builds on. The query runs on its own goroutine; the
@@ -184,12 +214,9 @@ func (s *Session) StartTopK(ctx context.Context, k int, qo QueryOptions) (*Query
 	}
 	// A per-query policy override is built up front so an unknown name
 	// fails the call before anything is started.
-	var pol compare.Policy
-	if qo.Policy != "" && qo.Policy != s.opts.Policy {
-		opts.Policy = qo.Policy
-		if pol, err = newPolicy(qo.Policy, opts); err != nil {
-			return nil, err
-		}
+	pol, err := s.queryPolicy(qo.Policy)
+	if err != nil {
+		return nil, err
 	}
 
 	s.mu.Lock()

@@ -193,15 +193,15 @@ func TestSessionOptionValidation(t *testing.T) {
 	if _, err := NewSession(d, Options{PriorScores: []float64{1, 2}}); err == nil {
 		t.Error("short PriorScores accepted")
 	}
-	if _, err := NewSession(d, Options{Estimator: StudentOneSided, Confidence: 0.4}); err == nil {
+	if _, err := NewSession(d, Options{Policy: StudentOneSided, Confidence: 0.4}); err == nil {
 		t.Error("one-sided at confidence <= 0.5 accepted")
 	}
 }
 
 func TestQueryNewEstimators(t *testing.T) {
 	d := SyntheticDataset(30, 0.2, 37)
-	for _, est := range []Estimator{StudentOneSided, HoeffdingPreference} {
-		res, err := Query(d, Options{K: 3, Estimator: est, Budget: 3000, Seed: 38})
+	for _, est := range []PolicyName{StudentOneSided, HoeffdingPreference} {
+		res, err := Query(d, Options{K: 3, Policy: est, Budget: 3000, Seed: 38})
 		if err != nil {
 			t.Fatalf("%s: %v", est, err)
 		}
