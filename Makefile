@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench-check bench bench-hot bench-json bench-diff warm-cache fuzz chaos serve-metrics smoke-metrics load service-smoke crash-recovery log-bench explain-bench policy-race all
+.PHONY: build test race vet fmt-check bench-check bench bench-hot bench-json bench-diff warm-cache fuzz stress chaos serve-metrics smoke-metrics load service-smoke crash-recovery log-bench explain-bench policy-race all
 
 build:
 	$(GO) build ./...
@@ -133,13 +133,22 @@ policy-race:
 	$(GO) run ./cmd/perfcheck -run policy -json BENCH_PR10.json
 
 # Short fuzzing sessions: the plan driver's duplicate/orientation grouping,
-# randomized platform fault schedules against the resilience layer, and
-# the O(1)-seeded source against math/rand's stream. Go runs one -fuzz
+# randomized platform fault schedules against the resilience layer, the
+# O(1)-seeded source against math/rand's stream, and the resilient
+# adapter's owed counts against a map-based reference. Go runs one -fuzz
 # target per invocation, hence one command each.
 fuzz:
 	$(GO) test ./internal/topk/ -run '^$$' -fuzz FuzzCompareAllGrouping -fuzztime 30s
 	$(GO) test ./internal/topk/ -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 30s
 	$(GO) test ./internal/crowd/ -run '^$$' -fuzz FuzzSeededSource -fuzztime 30s
+	$(GO) test ./internal/crowd/ -run '^$$' -fuzz FuzzResilientBookkeeping -fuzztime 30s
+
+# Repeat the lazy pair-stream, resilient-adapter and cross-layer identity
+# tests 20 times each: a test that passes once but flakes under repetition
+# (pooled state, map order, a leaked goroutine) fails here.
+stress:
+	$(GO) test ./internal/crowd/ -run 'TestPairStream|TestSeedPairFreshPairAllocs|TestResilient|FuzzResilientBookkeeping|TestSimPlatformAnswersGolden' -count 20
+	$(GO) test . -run 'TestPolicyLayerCrossLayerEquivalence' -count 20
 
 # The deterministic chaos suite under the race detector: seeded fault
 # schedules (drops, stragglers, duplicates, corruption, transient and

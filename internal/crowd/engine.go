@@ -17,6 +17,12 @@ const numShards = 64
 // engine seed and the pair identity, never on how purchases of different
 // pairs interleave across goroutines.
 //
+// rng is nil until the pair's first draw seeds it (streamLocked): a pair
+// served only from the judgment store, or drawn through an oracle that
+// never reads the stream, never pays for a 607-word math/rand register.
+// Seeding late does not change the values, since the seed depends only on
+// the engine seed and the pair.
+//
 // view is the pair's atomically published BagView snapshot in canonical
 // (lo, hi) orientation. There is a single writer per pair — whoever holds
 // mu — so publication is a plain pointer store; readers load the pointer
@@ -83,6 +89,10 @@ type Engine struct {
 	rng      *rand.Rand          // control-thread randomness, exposed via Rand()
 	control  *ControlRand        // mutex-guarded view of rng for concurrent sessions
 	baseSeed int64               // root of the per-pair and per-item sample streams
+	// streamless is true when the oracle declares (streamIgnorer) that it
+	// never reads the stream it is passed: pairs are then drawn with a nil
+	// stream and never seeded.
+	streamless bool
 
 	shards [numShards]shard
 
@@ -138,7 +148,23 @@ func NewEngine(o Oracle, rng *rand.Rand) *Engine {
 	// panicking.
 	e.batch, _ = o.(BatchOracle)
 	e.fallible, _ = o.(FallibleBatchOracle)
+	e.streamless = ignoresStream(o)
 	return e
+}
+
+// streamIgnorer is implemented by oracles that may declare they never
+// read the *rand.Rand they are passed: PlatformOracle, whose answers come
+// from the platform's own workers, and Replay, whose answers are recorded.
+// The engine then passes nil and seeds no pair stream. An oracle that does not implement it, or that wraps one
+// that reads the stream, gets a seeded stream: the safe default.
+type streamIgnorer interface {
+	ignoresStream() bool
+}
+
+// ignoresStream reports whether o declares that it never reads its stream.
+func ignoresStream(o Oracle) bool {
+	si, ok := o.(streamIgnorer)
+	return ok && si.ignoresStream()
 }
 
 // fail latches the engine into degraded mode; the first cause wins.
@@ -194,12 +220,26 @@ func (e *Engine) gradeSeed(i int) int64 {
 	return e.baseSeed ^ int64(mix64(uint64(uint32(i))^gradeTag)>>1)
 }
 
-// pair returns the pair's state, creating it on first touch.
+// pair returns the pair's state, creating it on first touch. The state
+// starts without a stream; streamLocked seeds it on the first draw.
 func (e *Engine) pair(k pairKey) *pairState {
 	s := &e.shards[pairHash(k)&(numShards-1)]
-	return s.loadOrCreate(k, func() *pairState {
-		return &pairState{rng: rand.New(rand.NewSource(e.pairSeed(k)))}
-	})
+	return s.loadOrCreate(k, func() *pairState { return new(pairState) })
+}
+
+// streamLocked returns the pair's sample stream, seeding it from pairSeed
+// on first use, or nil when the oracle never reads it. One nil check per
+// purchase, not per sample; the seeding sits in its own function so this
+// check inlines into the draw paths. Callers must hold ps.mu.
+func (e *Engine) streamLocked(ps *pairState, k pairKey) *rand.Rand {
+	if ps.rng == nil && !e.streamless {
+		e.seedStreamLocked(ps, k)
+	}
+	return ps.rng
+}
+
+func (e *Engine) seedStreamLocked(ps *pairState, k pairKey) {
+	ps.rng = rand.New(rand.NewSource(e.pairSeed(k)))
 }
 
 // lookup returns the pair's state without creating it.
@@ -405,10 +445,11 @@ func (e *Engine) DrawN(i, j, n int) (BagView, int) {
 		}
 		buf = buf[:n]
 		filled := n
+		rng := e.streamLocked(ps, k)
 		switch {
 		case e.fallible != nil:
 			var err error
-			filled, err = e.fallible.PreferencesPartial(ps.rng, k.lo, k.hi, buf)
+			filled, err = e.fallible.PreferencesPartial(rng, k.lo, k.hi, buf)
 			if filled < 0 {
 				filled = 0
 			} else if filled > n {
@@ -418,11 +459,11 @@ func (e *Engine) DrawN(i, j, n int) (BagView, int) {
 				e.fail(err)
 			}
 		case e.batch != nil:
-			e.batch.Preferences(ps.rng, k.lo, k.hi, buf)
+			e.batch.Preferences(rng, k.lo, k.hi, buf)
 		default:
 			o := e.oracle
 			for t := range buf {
-				buf[t] = o.Preference(ps.rng, k.lo, k.hi)
+				buf[t] = o.Preference(rng, k.lo, k.hi)
 			}
 		}
 		if filled < n {
@@ -483,9 +524,10 @@ func (e *Engine) DrawOne(i, j int) (float64, bool) {
 		return 0, false
 	}
 	var v float64
+	rng := e.streamLocked(ps, k)
 	if e.fallible != nil {
 		var one [1]float64
-		filled, err := e.fallible.PreferencesPartial(ps.rng, k.lo, k.hi, one[:])
+		filled, err := e.fallible.PreferencesPartial(rng, k.lo, k.hi, one[:])
 		if err != nil {
 			e.fail(err)
 		}
@@ -499,7 +541,7 @@ func (e *Engine) DrawOne(i, j int) (float64, bool) {
 		}
 		v = one[0]
 	} else {
-		v = e.oracle.Preference(ps.rng, k.lo, k.hi)
+		v = e.oracle.Preference(rng, k.lo, k.hi)
 	}
 	if v < -1 || v > 1 {
 		panic(fmt.Sprintf("crowd: oracle returned preference %v outside [-1,1] for pair (%d,%d)", v, k.lo, k.hi))

@@ -218,6 +218,9 @@ func NewReplay(n int, log []Record) *Replay {
 // NumItems implements Oracle.
 func (rp *Replay) NumItems() int { return rp.n }
 
+// ignoresStream declares that recorded answers never read the stream.
+func (rp *Replay) ignoresStream() bool { return true }
+
 // Remaining returns how many unused pairwise answers the replay still
 // holds for the pair (i, j).
 func (rp *Replay) Remaining(i, j int) int {

@@ -187,6 +187,10 @@ func (po *PlatformOracle) Platform() Platform { return po.platform }
 // NumItems implements Oracle.
 func (po *PlatformOracle) NumItems() int { return po.n }
 
+// ignoresStream declares that the adapter never reads the stream it is
+// passed — the platform's workers answer — so the engine seeds none.
+func (po *PlatformOracle) ignoresStream() bool { return true }
+
 // Preference implements Oracle: one task posted, one answer awaited.
 // It panics on platform failure — this legacy scalar path exists only
 // for direct use outside the engine; the engine always purchases through

@@ -39,6 +39,11 @@ func NewReplayThenLive(log []Record, live Oracle) *ReplayThenLive {
 // NumItems implements Oracle.
 func (rl *ReplayThenLive) NumItems() int { return rl.live.NumItems() }
 
+// ignoresStream forwards the live oracle's declaration: the replayed
+// prefix never reads the stream, the live tail reads it unless the live
+// oracle declares otherwise.
+func (rl *ReplayThenLive) ignoresStream() bool { return ignoresStream(rl.live) }
+
 // LiveTasks returns how many microtasks reached the live oracle — the
 // spend beyond the replayed checkpoint.
 func (rl *ReplayThenLive) LiveTasks() int64 { return rl.tasks.Load() }

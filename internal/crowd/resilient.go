@@ -69,18 +69,66 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // resBatch is the per-batch state of the resilient adapter: the expected
-// task multiset, the valid answers accepted so far, and the inner batch
-// ids still awaiting collection.
+// task multiset, how many answers each of its pairs is still owed, the
+// valid answers accepted so far, and the inner batch ids still awaiting
+// collection.
 type resBatch struct {
-	tasks   []Task
+	tasks []Task
+	// owed holds one entry per distinct pair of tasks, orientation-free,
+	// built once at Post; short is the sum of its counts. A PlatformOracle
+	// batch is one pair, so owed lives in owedBuf and lookups scan a
+	// one-entry slice: a healthy batch builds no map.
+	owed    []owedPair
+	owedBuf [1]owedPair
+	short   int
 	answers []Answer
 	pending []int // inner batch ids not yet successfully collected
+	pendBuf [1]int
 	// jitter is the backoff jitter stream, seeded from jitterSeed on the
 	// first backoff: a healthy batch never backs off, so it never pays
 	// for seeding one.
 	jitter     *rand.Rand
 	jitterSeed int64
 	attempts   int
+}
+
+// owedPair counts a pair's tasks in the batch (total) and the answers it
+// is still owed (n).
+type owedPair struct {
+	k        pairKey
+	total, n int
+}
+
+// newResBatch copies the posted tasks and counts what each pair is owed.
+func newResBatch(tasks []Task, jitterSeed int64) *resBatch {
+	b := &resBatch{
+		tasks:      append([]Task(nil), tasks...),
+		answers:    make([]Answer, 0, len(tasks)),
+		jitterSeed: jitterSeed,
+		short:      len(tasks),
+	}
+	b.owed, b.pending = b.owedBuf[:0], b.pendBuf[:0]
+	for _, t := range tasks {
+		k := keyOf(t.I, t.J)
+		if x := b.owedIndex(k); x >= 0 {
+			b.owed[x].total++
+			b.owed[x].n++
+			continue
+		}
+		b.owed = append(b.owed, owedPair{k: k, total: 1, n: 1})
+	}
+	return b
+}
+
+// owedIndex returns the index of k in owed, or -1 when no task of the
+// batch is for that pair.
+func (b *resBatch) owedIndex(k pairKey) int {
+	for x := range b.owed {
+		if b.owed[x].k == k {
+			return x
+		}
+	}
+	return -1
 }
 
 // ResilientPlatform makes any Platform survivable: it enforces a
@@ -151,10 +199,7 @@ func (rp *ResilientPlatform) Post(tasks []Task) (int, error) {
 	}
 	id := rp.nextID
 	rp.nextID++
-	b := &resBatch{
-		tasks:      append([]Task(nil), tasks...),
-		jitterSeed: rp.policy.JitterSeed + int64(id)*0x9e37,
-	}
+	b := newResBatch(tasks, rp.policy.JitterSeed+int64(id)*0x9e37)
 	rp.batches[id] = b
 	rp.mu.Unlock()
 
@@ -197,7 +242,8 @@ func (rp *ResilientPlatform) Collect(batch int) ([]Answer, error) {
 		// Ensure the missing tasks are in flight: the first attempt may
 		// have to re-post after a failed Post, later attempts re-post only
 		// the shortfall.
-		if missing := rp.missing(b); len(b.pending) == 0 && len(missing) > 0 {
+		if len(b.pending) == 0 && b.short > 0 {
+			missing := b.missing()
 			inner, err := rp.inner.Post(missing)
 			if err != nil {
 				lastErr = err
@@ -227,18 +273,18 @@ func (rp *ResilientPlatform) Collect(batch int) ([]Answer, error) {
 					}
 				}
 				rp.record(FailureEvent{Batch: batch, Attempt: b.attempts,
-					Kind: kind, Missing: len(rp.missing(b)), Err: err.Error()})
+					Kind: kind, Missing: b.short, Err: err.Error()})
 				continue
 			}
 			rp.accept(batch, b, answers)
 		}
 		b.pending = stillPending
 
-		missing := rp.missing(b)
-		if len(missing) == 0 {
+		if b.short == 0 {
 			rp.settle(true)
 			return b.answers, nil
 		}
+		missing := b.missing()
 		if attemptErr == nil {
 			// Clean collection, short batch: the platform silently lost
 			// tasks. Record and retry the shortfall.
@@ -265,7 +311,7 @@ func (rp *ResilientPlatform) Collect(batch int) ([]Answer, error) {
 	}
 
 	rp.settle(false)
-	missing := len(rp.missing(b))
+	missing := b.short
 	rp.record(FailureEvent{Batch: batch, Attempt: b.attempts, Kind: "exhausted",
 		Missing: missing, Err: errText(lastErr)})
 	err := fmt.Errorf("crowd: batch %d: %d of %d tasks unanswered after %d attempts: %w",
@@ -306,46 +352,43 @@ func (rp *ResilientPlatform) collectInner(inner int) ([]Answer, error) {
 	}
 }
 
-// accept merges valid answers into the batch, capped by the expected task
-// multiset; surplus and mis-paired answers are quarantined as events.
+// accept merges valid answers into the batch, capped by what each pair
+// is owed; surplus and mis-paired answers are quarantined as events.
 func (rp *ResilientPlatform) accept(batch int, b *resBatch, answers []Answer) {
-	// Count how many answers each pair still needs, orientation-free.
-	need := make(map[pairKey]int, len(b.tasks))
-	for _, t := range b.tasks {
-		need[keyOf(t.I, t.J)]++
-	}
-	for _, a := range b.answers {
-		need[keyOf(a.Task.I, a.Task.J)]--
-	}
 	for _, a := range answers {
-		k := keyOf(a.Task.I, a.Task.J)
-		n, expected := need[k]
-		if _, okv := validPairAnswer(a, a.Task.I, a.Task.J); !okv || !expected || a.Task.I == a.Task.J {
+		x := b.owedIndex(keyOf(a.Task.I, a.Task.J))
+		if _, okv := validPairAnswer(a, a.Task.I, a.Task.J); !okv || x < 0 || a.Task.I == a.Task.J {
 			rp.record(FailureEvent{Batch: batch, Attempt: b.attempts, Kind: "quarantine",
 				Err: fmt.Sprintf("invalid answer: task (%d,%d) value %v", a.Task.I, a.Task.J, a.Value)})
 			continue
 		}
-		if n <= 0 {
+		if b.owed[x].n <= 0 {
 			rp.record(FailureEvent{Batch: batch, Attempt: b.attempts, Kind: "quarantine",
 				Err: fmt.Sprintf("surplus answer: task (%d,%d)", a.Task.I, a.Task.J)})
 			continue
 		}
-		need[k] = n - 1
+		b.owed[x].n--
+		b.short--
 		b.answers = append(b.answers, a)
 	}
 }
 
-// missing returns the tasks not yet covered by accepted answers.
-func (rp *ResilientPlatform) missing(b *resBatch) []Task {
-	have := make(map[pairKey]int, len(b.tasks))
-	for _, a := range b.answers {
-		have[keyOf(a.Task.I, a.Task.J)]++
+// missing returns the tasks not yet covered by accepted answers, in task
+// order: a pair's first total−n tasks count as covered, the rest are
+// missing. It allocates only when something is owed — the retry path.
+func (b *resBatch) missing() []Task {
+	if b.short == 0 {
+		return nil
 	}
-	var out []Task
+	covered := make([]int, len(b.owed))
+	for x, o := range b.owed {
+		covered[x] = o.total - o.n
+	}
+	out := make([]Task, 0, b.short)
 	for _, t := range b.tasks {
-		k := keyOf(t.I, t.J)
-		if have[k] > 0 {
-			have[k]--
+		x := b.owedIndex(keyOf(t.I, t.J))
+		if covered[x] > 0 {
+			covered[x]--
 			continue
 		}
 		out = append(out, t)

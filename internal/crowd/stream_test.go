@@ -1,0 +1,208 @@
+package crowd
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// streamOf returns the pair's stream pointer as the engine holds it.
+func streamOf(e *Engine, i, j int) *rand.Rand {
+	ps := e.lookup(keyOf(i, j))
+	if ps == nil {
+		return nil
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return ps.rng
+}
+
+// drawnValues returns the values in the engine's audit log, in purchase
+// order and canonical orientation.
+func drawnValues(e *Engine) []float64 {
+	var out []float64
+	for _, r := range e.Log() {
+		out = append(out, r.Value)
+	}
+	return out
+}
+
+// TestPairStreamSeededOnFirstDraw pins the lazy pair stream: seeding on
+// the first draw yields exactly the values an eagerly seeded stream did,
+// a pair that never draws (store-served, or platform-drawn) never seeds
+// one, and a replay-then-live oracle still reads the pair's stream for
+// its live tail.
+func TestPairStreamSeededOnFirstDraw(t *testing.T) {
+	t.Run("SeedPair then draw equals draw first", func(t *testing.T) {
+		fresh := newTestEngine(6, 17)
+		fresh.EnableLog()
+		fresh.Draw(1, 4, 7)
+		fresh.DrawOne(4, 1)
+		fresh.Draw(4, 1, 3)
+
+		seeded := newTestEngine(6, 17)
+		seeded.EnableLog()
+		if !seeded.SeedPair(1, 4, PairPosterior{N: 5, Mean: 0.2, M2: 0.4, BinN: 4, BinMean: 0.5, BinM2: 3}, false) {
+			t.Fatal("SeedPair on an untouched pair refused")
+		}
+		if s := streamOf(seeded, 1, 4); s != nil {
+			t.Fatal("SeedPair alone seeded the pair's stream")
+		}
+		seeded.Draw(1, 4, 7)
+		seeded.DrawOne(4, 1)
+		seeded.Draw(4, 1, 3)
+
+		want, got := drawnValues(fresh), drawnValues(seeded)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("draws after SeedPair:\n got %v\nwant %v", got, want)
+		}
+		if v := seeded.View(1, 4); v.N != 5+len(want) {
+			t.Fatalf("seeded bag holds %d samples, want %d", v.N, 5+len(want))
+		}
+	})
+
+	t.Run("platform draws seed nothing", func(t *testing.T) {
+		sp := NewSimPlatform(gaussOracle{n: 6, sigma: 0.2}, 2, 5)
+		defer sp.Close()
+		po := NewPlatformOracle(6, sp).WithResilience(testPolicy(2))
+		e := NewEngine(po, rand.New(rand.NewSource(5)))
+		if _, got := e.DrawN(0, 3, 12); got != 12 {
+			t.Fatalf("platform DrawN delivered %d of 12", got)
+		}
+		if _, ok := e.DrawOne(3, 0); !ok {
+			t.Fatal("platform DrawOne delivered nothing")
+		}
+		if s := streamOf(e, 0, 3); s != nil {
+			t.Fatal("drawing through PlatformOracle seeded the pair's stream")
+		}
+	})
+
+	t.Run("replayed draws seed nothing", func(t *testing.T) {
+		recorded := []Record{{I: 1, J: 2, Value: 0.5}, {I: 2, J: 1, Value: -0.75}}
+		e := NewEngine(NewReplay(4, recorded), rand.New(rand.NewSource(5)))
+		if v := e.Draw(1, 2, 2); v.N != 2 || v.Mean != 0.625 {
+			t.Fatalf("replayed bag %+v, want N=2 mean 0.625", v)
+		}
+		if s := streamOf(e, 1, 2); s != nil {
+			t.Fatal("drawing through Replay seeded the pair's stream")
+		}
+	})
+
+	t.Run("replay-then-live tail reads the pair stream", func(t *testing.T) {
+		live := gaussOracle{n: 6, sigma: 0.2}
+		ref := NewEngine(live, rand.New(rand.NewSource(23)))
+		ref.EnableLog()
+		ref.Draw(2, 5, 6)
+
+		recorded := []Record{{I: 2, J: 5, Value: 0.9}, {I: 5, J: 2, Value: 0.25}}
+		e := NewEngine(NewReplayThenLive(recorded, live), rand.New(rand.NewSource(23)))
+		e.EnableLog()
+		e.Draw(2, 5, 8)
+		if streamOf(e, 2, 5) == nil {
+			t.Fatal("replay-then-live over a dataset oracle drew without a stream")
+		}
+		got := drawnValues(e)
+		want := append([]float64{0.9, -0.25}, drawnValues(ref)...)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("replay-then-live draws:\n got %v\nwant %v", got, want)
+		}
+	})
+}
+
+// bytesPerRun returns the mean heap bytes fn allocates per call.
+func bytesPerRun(runs int, fn func()) float64 {
+	fn() // warm up pools and maps outside the measurement
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestSeedPairFreshPairAllocs guards the store-served path: installing a
+// posterior on a fresh pair creates its state and publishes one view, and
+// seeds no 4.9 KB math/rand source.
+func TestSeedPairFreshPairAllocs(t *testing.T) {
+	e := newTestEngine(4000, 3)
+	post := PairPosterior{N: 20, Mean: 0.3, M2: 1.5}
+	next := 0
+	seedFresh := func() {
+		next++
+		if !e.SeedPair(0, next, post, false) {
+			t.Fatalf("SeedPair(0, %d) refused", next)
+		}
+	}
+	// The pairState and the published view; the shard's index growth is
+	// amortized below one allocation per pair. About 256 B in all.
+	if allocs := testing.AllocsPerRun(500, seedFresh); allocs > 2 {
+		t.Errorf("SeedPair on a fresh pair: %.1f allocs, want <= 2", allocs)
+	}
+	if b := bytesPerRun(2000, seedFresh); b > 512 {
+		t.Errorf("SeedPair on a fresh pair: %.0f B, want <= 512 (a seeded math/rand source alone is 4.9 KB)", b)
+	}
+}
+
+// echoPlatform answers every posted task at once with a fixed value: a
+// healthy platform with no goroutines, so allocation counts measure the
+// adapters, not a simulated crowd.
+type echoPlatform struct {
+	mu      sync.Mutex
+	next    int
+	batches map[int][]Task
+}
+
+func (p *echoPlatform) Post(tasks []Task) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	id := p.next
+	p.next++
+	p.batches[id] = tasks
+	return id, nil
+}
+
+func (p *echoPlatform) Collect(batch int) ([]Answer, error) {
+	p.mu.Lock()
+	tasks := p.batches[batch]
+	delete(p.batches, batch)
+	p.mu.Unlock()
+	answers := make([]Answer, len(tasks))
+	for t, task := range tasks {
+		answers[t] = Answer{Task: task, Value: 0.5}
+	}
+	return answers, nil
+}
+
+// TestResilientHealthyDrawAllocs guards the resilient happy path: one
+// DrawN through PlatformOracle over a ResilientPlatform allocates the
+// task lists, the answer slices, the batch state and the published view
+// — no per-batch map and no pair stream.
+func TestResilientHealthyDrawAllocs(t *testing.T) {
+	const batch = 30
+	po := NewPlatformOracle(10, &echoPlatform{batches: map[int][]Task{}}).WithResilience(testPolicy(3))
+	e := NewEngine(po, rand.New(rand.NewSource(1)))
+	draw := func() {
+		if _, got := e.DrawN(2, 7, batch); got != batch {
+			t.Fatalf("healthy DrawN delivered %d of %d", got, batch)
+		}
+	}
+	// The oracle's task list and the adapter's copy (16 B a task), the
+	// platform's answers and the adapter's accepted ones (24 B a task),
+	// the batch state and the published view: 6 objects, about 2.7 KB at
+	// 30 tasks. The two per-batch maps the owed counts replaced push either
+	// figure past its bound; a pair stream is seeded once per pair, so the
+	// check below the bounds catches that.
+	if allocs := testing.AllocsPerRun(200, draw); allocs > 6 {
+		t.Errorf("healthy resilient DrawN(%d): %.1f allocs, want <= 6", batch, allocs)
+	}
+	if b := bytesPerRun(500, draw); b > 3300 {
+		t.Errorf("healthy resilient DrawN(%d): %.0f B, want <= 3300", batch, b)
+	}
+	if s := streamOf(e, 2, 7); s != nil {
+		t.Error("platform draws seeded the pair's stream")
+	}
+}
