@@ -143,11 +143,13 @@ fuzz:
 	$(GO) test ./internal/crowd/ -run '^$$' -fuzz FuzzSeededSource -fuzztime 30s
 	$(GO) test ./internal/crowd/ -run '^$$' -fuzz FuzzResilientBookkeeping -fuzztime 30s
 
-# Repeat the lazy pair-stream, resilient-adapter and cross-layer identity
-# tests 20 times each: a test that passes once but flakes under repetition
-# (pooled state, map order, a leaked goroutine) fails here.
+# Repeat the lazy pair-stream, resilient-adapter, engine identity table,
+# runner purchase accounting and cross-layer identity tests 20 times each:
+# a test that passes once but flakes under repetition (pooled state, map
+# order, a leaked goroutine) fails here.
 stress:
-	$(GO) test ./internal/crowd/ -run 'TestPairStream|TestSeedPairFreshPairAllocs|TestResilient|FuzzResilientBookkeeping|TestSimPlatformAnswersGolden' -count 20
+	$(GO) test ./internal/crowd/ -run 'TestPairStream|TestSeedPairFreshPairAllocs|TestResilient|FuzzResilientBookkeeping|TestSimPlatformAnswersGolden|TestDrawBatchMatchesScalarFallback' -count 20
+	$(GO) test ./internal/compare/ -run 'TestRunnerPurchaseAccounting' -count 20
 	$(GO) test . -run 'TestPolicyLayerCrossLayerEquivalence' -count 20
 
 # The deterministic chaos suite under the race detector: seeded fault

@@ -61,14 +61,42 @@ func (e *PartialResultError) Error() string {
 // Unwrap exposes the underlying platform error to errors.Is/As.
 func (e *PartialResultError) Unwrap() error { return e.Err }
 
-// partialError wraps a degraded run's outcome in a PartialResultError,
-// attaching the oracle's failure log when it keeps one.
-func partialError(res Result, o Oracle, err error) *PartialResultError {
-	pe := &PartialResultError{Result: res, Err: err}
+// queryResult assembles a finished query's Result — the one builder
+// behind Query and Session.StartTopK. A telemetry bundle may serve
+// concurrent queries, so the registry diff in stats may fold their
+// traffic into this query's window; its TMC and Rounds are overwritten
+// with this query's exact per-query meter. A degraded run's outcome
+// comes back with a *PartialResultError carrying the oracle's failure
+// log when it keeps one.
+func queryResult(res topk.Result, stats *QueryStats, phases *PhaseBreakdown, o Oracle) (Result, error) {
+	out := Result{TopK: res.TopK, TMC: res.TMC, Rounds: res.Rounds, Phases: phases, Stats: stats}
+	if stats != nil {
+		stats.TMC = res.TMC
+		stats.Rounds = res.Rounds
+	}
+	if res.Err == nil {
+		return out, nil
+	}
+	pe := &PartialResultError{Result: out, Err: res.Err}
 	if fr, ok := o.(crowd.FailureReporter); ok {
 		pe.Failures = fr.Failures()
 	}
-	return pe
+	return out, pe
+}
+
+// judge runs (or re-reads) one confidence-aware comparison on r — the
+// one builder behind Judge and Session.Judge. When the platform failed
+// mid-comparison the verdict rests on whatever evidence arrived before,
+// and the failure comes back with it.
+func judge(r *compare.Runner, i, j int) (Judgment, error) {
+	n := r.Engine().NumItems()
+	if i < 0 || i >= n || j < 0 || j >= n || i == j {
+		return Judgment{}, fmt.Errorf("crowdtopk: invalid pair (%d, %d) over %d items", i, j, n)
+	}
+	out := r.Compare(i, j)
+	r.CommitConclusions()
+	v := r.Engine().View(i, j)
+	return Judgment{Outcome: Outcome(out), Workload: v.N, Mean: v.Mean, SD: v.SD}, r.Err()
 }
 
 // Result is the outcome of a top-k query.
@@ -169,17 +197,10 @@ func Query(o Oracle, opts Options) (Result, error) {
 	start := time.Now()
 	res := topk.Run(alg, r, opts.K)
 	r.CommitConclusions()
-	out := Result{TopK: res.TopK, TMC: res.TMC, Rounds: res.Rounds}
-	out.Stats = opts.Telemetry.statsSince(before, time.Since(start))
-	if out.Stats != nil {
-		// A telemetry bundle may serve concurrent queries; the registry
-		// diff would then fold their traffic into this query's window.
-		// Cost and latency come from the per-query meter instead.
-		out.Stats.TMC = res.TMC
-		out.Stats.Rounds = res.Rounds
-	}
+	stats := opts.Telemetry.statsSince(before, time.Since(start))
+	var phases *PhaseBreakdown
 	if trace != nil {
-		out.Phases = &PhaseBreakdown{
+		phases = &PhaseBreakdown{
 			SelectTMC:       trace.Select.TMC,
 			PartitionTMC:    trace.Partition.TMC,
 			RankTMC:         trace.Rank.TMC,
@@ -189,10 +210,7 @@ func Query(o Oracle, opts Options) (Result, error) {
 			RefChanges:      trace.RefChanges,
 		}
 	}
-	if res.Err != nil {
-		return out, partialError(out, r.Engine().Oracle(), res.Err)
-	}
-	return out, nil
+	return queryResult(res, stats, phases, r.Engine().Oracle())
 }
 
 // Judge runs one confidence-aware comparison COMP(o_i, o_j): it keeps
@@ -205,29 +223,11 @@ func Judge(o Oracle, i, j int, opts Options) (Judgment, error) {
 	if err := opts.validate(o.NumItems()); err != nil {
 		return Judgment{}, err
 	}
-	n := o.NumItems()
-	if i < 0 || i >= n || j < 0 || j >= n || i == j {
-		return Judgment{}, fmt.Errorf("crowdtopk: invalid pair (%d, %d) over %d items", i, j, n)
-	}
 	r, err := newRunner(o, opts)
 	if err != nil {
 		return Judgment{}, err
 	}
-	out := r.Compare(i, j)
-	r.CommitConclusions()
-	v := r.Engine().View(i, j)
-	jm := Judgment{
-		Outcome:  Outcome(out),
-		Workload: v.N,
-		Mean:     v.Mean,
-		SD:       v.SD,
-	}
-	if ferr := r.Err(); ferr != nil {
-		// The verdict rests on whatever evidence arrived before the
-		// platform failed; report both.
-		return jm, ferr
-	}
-	return jm, nil
+	return judge(r, i, j)
 }
 
 // ResolvePolicy returns the canonical name of the policy a query asking

@@ -554,31 +554,48 @@ func (r *Runner) Tick(n int) {
 	r.acct.rounds.Add(int64(n))
 }
 
+// admit is the query-side admission step every purchase shares: a
+// stopped query is granted nothing, otherwise up to n microtasks are
+// reserved against the budget sub-cap, and a request the sub-cap cannot
+// grant at all stops the query with ErrBudgetExhausted. It returns the
+// microtasks granted.
+func (r *Runner) admit(n int) int {
+	if n <= 0 || r.acct.stopped.Load() {
+		return 0
+	}
+	granted := r.acct.reserve(n)
+	if granted == 0 {
+		r.Stop(ErrBudgetExhausted)
+	}
+	return granted
+}
+
+// settle books one admitted purchase against the query: the part of the
+// grant the engine did not charge (global cap, platform shortfall) goes
+// back to the sub-cap as a refund, and the charged part feeds the query
+// meter. Both reach the explain leaf of (i, j), with j = -1 for a grade,
+// so the leaf sum always equals the meter.
+func (r *Runner) settle(i, j, granted, charged int) {
+	r.acct.refund(granted - charged)
+	r.acct.tmc.Add(int64(charged))
+	if c := r.acct.explain; c != nil {
+		phase := r.Phase()
+		c.Refund(phase, i, j, int64(granted-charged))
+		c.Charge(phase, i, j, int64(charged))
+	}
+}
+
 // DrawOne purchases a single microtask for (i, j), attributing its cost
 // to this runner's query. It reports the sampled preference and whether
 // the purchase was granted (stop latch, budget sub-cap, global cap and
 // platform permitting).
 func (r *Runner) DrawOne(i, j int) (float64, bool) {
-	if r.acct.stopped.Load() {
-		return 0, false
-	}
-	if r.acct.reserve(1) == 0 {
-		r.Stop(ErrBudgetExhausted)
+	if r.admit(1) == 0 {
 		return 0, false
 	}
 	v, ok := r.eng.DrawOne(i, j)
-	if !ok {
-		r.acct.refund(1)
-		if c := r.acct.explain; c != nil {
-			c.Refund(r.Phase(), i, j, 1)
-		}
-		return v, false
-	}
-	r.acct.tmc.Add(1)
-	if c := r.acct.explain; c != nil {
-		c.Charge(r.Phase(), i, j, 1)
-	}
-	return v, true
+	r.settle(i, j, 1, b2i(ok))
+	return v, ok
 }
 
 // draw purchases a batch for (i, j) and attributes exactly the charged
@@ -591,29 +608,12 @@ func (r *Runner) DrawOne(i, j int) (float64, bool) {
 // sub-cap, so the sub-cap — like TMC itself — counts only delivered
 // answers.
 func (r *Runner) draw(i, j, n int) crowd.BagView {
-	if r.acct.stopped.Load() {
-		return r.eng.View(i, j)
-	}
-	granted := r.acct.reserve(n)
+	granted := r.admit(n)
 	if granted == 0 {
-		if n > 0 {
-			r.Stop(ErrBudgetExhausted)
-		}
 		return r.eng.View(i, j)
 	}
 	v, charged := r.eng.DrawN(i, j, granted)
-	if charged != granted {
-		r.acct.refund(granted - charged)
-		if c := r.acct.explain; c != nil {
-			c.Refund(r.Phase(), i, j, int64(granted-charged))
-		}
-	}
-	if charged != 0 {
-		r.acct.tmc.Add(int64(charged))
-		if c := r.acct.explain; c != nil {
-			c.Charge(r.Phase(), i, j, int64(charged))
-		}
-	}
+	r.settle(i, j, granted, charged)
 	return v
 }
 
@@ -627,26 +627,20 @@ func (r *Runner) Draw(i, j, n int) crowd.BagView { return r.draw(i, j, n) }
 // attributing its cost to this runner's query. It reports the rating and
 // whether the purchase was granted.
 func (r *Runner) Grade(i int) (float64, bool) {
-	if r.acct.stopped.Load() {
-		return 0, false
-	}
-	if r.acct.reserve(1) == 0 {
-		r.Stop(ErrBudgetExhausted)
+	if r.admit(1) == 0 {
 		return 0, false
 	}
 	v, ok := r.eng.Grade(i)
-	if !ok {
-		r.acct.refund(1)
-		if c := r.acct.explain; c != nil {
-			c.Refund(r.Phase(), i, -1, 1)
-		}
-		return v, false
+	r.settle(i, -1, 1, b2i(ok))
+	return v, ok
+}
+
+// b2i is 1 for a granted single purchase, 0 for a declined one.
+func b2i(ok bool) int {
+	if ok {
+		return 1
 	}
-	r.acct.tmc.Add(1)
-	if c := r.acct.explain; c != nil {
-		c.ChargeGraded(r.Phase(), i)
-	}
-	return v, true
+	return 0
 }
 
 // QueryTMC returns the microtasks charged through this runner (this

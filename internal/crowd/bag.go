@@ -95,22 +95,11 @@ func (b *bag) restore(p PairPosterior) {
 	b.bin = stats.Restore(p.BinN, p.BinMean, p.BinM2)
 }
 
-// add records one preference sample already oriented as v(lo, hi).
-func (b *bag) add(v float64) {
-	b.pref.Add(v)
-	switch {
-	case v > 0:
-		b.bin.Add(1)
-	case v < 0:
-		b.bin.Add(-1)
-		// v == 0: the binary judgment model drops unidentifiable votes.
-	}
-}
-
-// addAll records a batch of samples in order. It folds each sample into
-// the same Welford recurrences as add, in the same per-sample order, so a
-// batched purchase produces bit-identical statistics to sample-at-a-time
-// ingestion — the determinism contract the equivalence suites pin down.
+// addAll records a batch of samples, already oriented as v(lo, hi), in
+// order. It folds each sample into the Welford recurrences one at a time,
+// so a batched purchase produces bit-identical statistics to
+// sample-at-a-time ingestion — the determinism contract the equivalence
+// suites pin down.
 func (b *bag) addAll(vs []float64) {
 	b.pref.AddAll(vs)
 	for _, v := range vs {
@@ -119,6 +108,7 @@ func (b *bag) addAll(vs []float64) {
 			b.bin.Add(1)
 		case v < 0:
 			b.bin.Add(-1)
+			// v == 0: the binary judgment model drops unidentifiable votes.
 		}
 	}
 }

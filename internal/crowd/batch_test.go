@@ -1,8 +1,14 @@
 package crowd
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"crowdtopk/internal/obs"
 )
 
 // scalarOnly hides an oracle's BatchOracle facet so tests (and benchmarks)
@@ -31,40 +37,128 @@ func (o noisyOracle) Preferences(rng *rand.Rand, i, j int, dst []float64) {
 	}
 }
 
-// TestDrawBatchMatchesScalarFallback pins the tentpole's determinism
-// contract at the engine level: the batched hot path and the per-sample
-// fallback must produce byte-identical bags, views, logs and counters.
+// purchaseScript is the engine identity table's fixed purchase mix:
+// batched draws in both orientations, single draws in both orientations,
+// a batch of one, a cap-truncated draw followed by a declined single
+// draw, and a final batch — the one a failing platform breaks mid-batch —
+// followed by a single draw the failure latch must decline. It returns
+// everything an observer can see: each call's result, every touched
+// pair's view in both orientations, the audit log, the money counters
+// and the engine's instruments, as one canonical text.
+func purchaseScript(e *Engine) string {
+	reg := obs.NewRegistry()
+	e.SetInstruments(NewEngineInstruments(reg))
+	e.EnableLog()
+	var b strings.Builder
+	drawN := func(i, j, n int) {
+		v, got := e.DrawN(i, j, n)
+		fmt.Fprintf(&b, "DrawN(%d,%d,%d) = %d %+v\n", i, j, n, got, v)
+	}
+	drawOne := func(i, j int) {
+		v, ok := e.DrawOne(i, j)
+		fmt.Fprintf(&b, "DrawOne(%d,%d) = %v %v\n", i, j, v, ok)
+	}
+	drawN(0, 1, 40)
+	drawN(3, 2, 17) // flipped orientation
+	drawOne(0, 1)
+	drawOne(1, 0)
+	drawN(0, 1, 1) // batch of one
+	e.Tick(1)
+	e.SetSpendingCap(e.TMC() + 5)
+	drawN(2, 4, 12) // truncated to the 5 the cap allows
+	drawOne(4, 2)   // declined by the cap
+	e.SetSpendingCap(0)
+	e.Tick(1)
+	drawN(1, 2, 20)
+	drawOne(2, 1)
+	for _, p := range [][2]int{{0, 1}, {2, 3}, {2, 4}, {1, 2}} {
+		fmt.Fprintf(&b, "View(%d,%d) = %+v / %+v\n", p[0], p[1], e.View(p[0], p[1]), e.View(p[1], p[0]))
+	}
+	fmt.Fprintf(&b, "TMC %d pairwise %d rounds %d failed %v\n", e.TMC(), e.PairwiseTasks(), e.Rounds(), e.Err() != nil)
+	snap := reg.Snapshot()
+	for _, m := range []string{obs.MSamples, obs.MTMC, obs.MRefunds, obs.MCapDenied, obs.MDrawBatches} {
+		fmt.Fprintf(&b, "%s %d\n", m, snap.Counter(m))
+	}
+	for _, r := range e.Log() {
+		fmt.Fprintf(&b, "%+v\n", r)
+	}
+	return b.String()
+}
+
+// TestDrawBatchMatchesScalarFallback is the engine identity table: every
+// oracle shape the engine resolves a purchase kernel for — a batch
+// kernel, the scalar fallback, FuncOracle, WorkerPool, Replay and
+// ReplayThenLive over both a batch-kernel oracle and a platform that
+// answers short and then fails — runs purchaseScript, and the digest of
+// what it observes must equal the one recorded when DrawOne still bought
+// through the scalar Preference call. Shapes that must agree sample for
+// sample (batch, scalar, FuncOracle, and a Replay of the batch run's own
+// audit log) share one digest.
 func TestDrawBatchMatchesScalarFallback(t *testing.T) {
 	const seed = 5
-	run := func(o Oracle) *Engine {
-		e := NewEngine(o, rand.New(rand.NewSource(seed)))
-		e.EnableLog()
-		e.Draw(0, 1, 40)
-		e.Draw(3, 2, 17) // flipped orientation
-		e.Draw(0, 1, 1)  // batch of one
-		e.Tick(3)
-		return e
+	base := noisyOracle{n: 8}
+	// batchLog is the batch-kernel run's audit log, which Replay serves.
+	batchEngine := NewEngine(base, rand.New(rand.NewSource(seed)))
+	purchaseScript(batchEngine)
+	batchLog := batchEngine.Log()
+	// resumeLog is a checkpoint covering part of two pairs' demand, the
+	// second in the flipped orientation, for the ReplayThenLive shapes.
+	var resumeLog []Record
+	for t := 0; t < 10; t++ {
+		resumeLog = append(resumeLog, Record{I: 0, J: 1, Value: float64(t)/20 - 0.2})
 	}
-	batched := run(noisyOracle{n: 8})
-	scalar := run(scalarOnly{noisyOracle{n: 8}})
-
-	for _, p := range [][2]int{{0, 1}, {1, 0}, {2, 3}, {3, 2}} {
-		b, s := batched.View(p[0], p[1]), scalar.View(p[0], p[1])
-		if b != s {
-			t.Fatalf("view(%d,%d): batch %+v != scalar %+v", p[0], p[1], b, s)
-		}
+	for t := 0; t < 6; t++ {
+		resumeLog = append(resumeLog, Record{I: 2, J: 1, Value: 0.1 * float64(t%3)})
 	}
-	if b, s := batched.TMC(), scalar.TMC(); b != s {
-		t.Fatalf("TMC: batch %d != scalar %d", b, s)
+	// shortPlatform serves one step per posted batch: the first batch
+	// comes back five answers short, a single draw gets no answer at all,
+	// and the final batch fails on collection after its replayed prefix.
+	shortPlatform := func() Platform {
+		return newScriptPlatform(
+			scriptStep{serve: 25},                 // DrawN(0,1,40): 10 replayed + 30 posted
+			scriptStep{serve: -1},                 // DrawN(3,2,17)
+			scriptStep{serve: 0},                  // DrawOne(0,1): refunded
+			scriptStep{serve: -1},                 // DrawOne(1,0)
+			scriptStep{serve: -1},                 // DrawN(0,1,1)
+			scriptStep{serve: -1},                 // DrawN(2,4,5 of 12)
+			scriptStep{collectErr: errMarketDown}, // DrawN(1,2,20): 6 replayed, then failure
+		)
 	}
-	bl, sl := batched.Log(), scalar.Log()
-	if len(bl) != len(sl) {
-		t.Fatalf("log length: batch %d != scalar %d", len(bl), len(sl))
+	const (
+		same    = "fd85e8421c8c0be5"
+		pool    = "141e770567e9c892"
+		rtlData = "60faddb8545691b9"
+		rtlPlat = "78537fd82aa49629"
+	)
+	cases := []struct {
+		name   string
+		oracle func() Oracle
+		want   string
+	}{
+		{"batch-kernel", func() Oracle { return base }, same},
+		{"scalar-only", func() Oracle { return scalarOnly{base} }, same},
+		{"func-oracle", func() Oracle { return FuncOracle{N: base.n, Pref: base.Preference} }, same},
+		{"replay", func() Oracle { return NewReplay(base.n, batchLog) }, same},
+		{"worker-pool", func() Oracle {
+			return NewWorkerPool(base, WorkerPoolConfig{Workers: 7, SpammerFraction: 0.2, AdversaryFraction: 0.1, ScaleSD: 0.3, Seed: 3})
+		}, pool},
+		{"resume-over-batch", func() Oracle { return NewReplayThenLive(resumeLog, base) }, rtlData},
+		{"resume-over-short-platform", func() Oracle {
+			return NewReplayThenLive(resumeLog, NewPlatformOracle(base.n, shortPlatform()))
+		}, rtlPlat},
 	}
-	for r := range bl {
-		if bl[r] != sl[r] {
-			t.Fatalf("log[%d]: batch %+v != scalar %+v", r, bl[r], sl[r])
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := c.oracle()
+			trace := purchaseScript(NewEngine(o, rand.New(rand.NewSource(seed))))
+			if rl, ok := o.(*ReplayThenLive); ok {
+				trace += fmt.Sprintf("live %d replayed %d\n", rl.LiveTasks(), rl.ReplayedServed())
+			}
+			sum := sha256.Sum256([]byte(trace))
+			if got := hex.EncodeToString(sum[:8]); got != c.want {
+				t.Errorf("digest %s, want %s; trace:\n%s", got, c.want, trace)
+			}
+		})
 	}
 }
 

@@ -29,7 +29,9 @@ const numShards = 64
 // and never touch the mutex. Snapshots are immutable once published.
 //
 // held and staged implement HoldLog: while held is positive the pair's
-// audit records collect in staged instead of reaching the log. Both are
+// audit records collect in staged instead of reaching the log. one is
+// DrawOne's answer slot: it lives on the pair, not the stack, because a
+// buffer passed through the kernel interface escapes. All three are
 // guarded by mu.
 type pairState struct {
 	mu     sync.Mutex
@@ -38,6 +40,7 @@ type pairState struct {
 	view   atomic.Pointer[BagView]
 	held   int
 	staged []Record
+	one    [1]float64
 }
 
 // publishLocked snapshots the bag in canonical orientation and publishes
@@ -72,9 +75,9 @@ var drawBufPool = sync.Pool{
 // Reads are mutex-free: View loads the pair's atomically published bag
 // snapshot, so observers (stopping-rule tests, leanings, workload probes)
 // never contend with purchases. Writes batch: a Draw of n microtasks costs
-// one dynamic oracle dispatch (via BatchOracle when implemented), one
-// pooled scratch buffer, and — when logging — one audit-log flush, instead
-// of n of each.
+// one call of the oracle's purchase kernel (resolved once, by kernelOf),
+// one pooled scratch buffer, and — when logging — one audit-log flush,
+// instead of n of each.
 //
 // Concurrency contract for collaborators: the Oracle (and Grader) must be
 // safe for concurrent calls when the engine is driven from several
@@ -84,8 +87,7 @@ var drawBufPool = sync.Pool{
 // plans), never to sampling workers.
 type Engine struct {
 	oracle   Oracle
-	batch    BatchOracle         // oracle's batch kernel, cached once at construction
-	fallible FallibleBatchOracle // oracle's error-aware kernel, preferred when present
+	kernel   FallibleBatchOracle // the oracle's purchase kernel, resolved once by kernelOf
 	rng      *rand.Rand          // control-thread randomness, exposed via Rand()
 	control  *ControlRand        // mutex-guarded view of rng for concurrent sessions
 	baseSeed int64               // root of the per-pair and per-item sample streams
@@ -137,19 +139,51 @@ func NewEngine(o Oracle, rng *rand.Rand) *Engine {
 	}
 	e := &Engine{
 		oracle:   o,
+		kernel:   kernelOf(o),
 		rng:      rng,
 		baseSeed: rng.Int63(),
 		gradeRng: make(map[int]*rand.Rand),
 	}
 	e.control = &ControlRand{r: rng}
-	// The batch kernels are resolved once so the Draw hot path pays no
-	// type assertion per call. The fallible kernel wins when both exist:
-	// it is the only path that can decline part of a purchase instead of
-	// panicking.
-	e.batch, _ = o.(BatchOracle)
-	e.fallible, _ = o.(FallibleBatchOracle)
 	e.streamless = ignoresStream(o)
 	return e
+}
+
+// kernelOf resolves the one routine that answers a purchase of len(dst)
+// microtasks from o, so no purchase path pays a type assertion or keeps
+// a fallback of its own. The preference order: the oracle's own
+// PreferencesPartial (the only kernel that can decline part of a
+// purchase instead of panicking), then its Preferences with a full fill,
+// then len(dst) Preference calls. All three consume the pair's stream
+// exactly as sequential Preference calls would (BatchOracle's contract),
+// so which one an oracle resolves to never changes its samples.
+func kernelOf(o Oracle) FallibleBatchOracle {
+	switch k := o.(type) {
+	case FallibleBatchOracle:
+		return k
+	case BatchOracle:
+		return batchKernel{k}
+	default:
+		return scalarKernel{o}
+	}
+}
+
+// batchKernel answers through a BatchOracle, which always fills dst.
+type batchKernel struct{ BatchOracle }
+
+func (k batchKernel) PreferencesPartial(rng *rand.Rand, i, j int, dst []float64) (int, error) {
+	k.Preferences(rng, i, j, dst)
+	return len(dst), nil
+}
+
+// scalarKernel answers with one Preference call per slot.
+type scalarKernel struct{ Oracle }
+
+func (k scalarKernel) PreferencesPartial(rng *rand.Rand, i, j int, dst []float64) (int, error) {
+	for t := range dst {
+		dst[t] = k.Preference(rng, i, j)
+	}
+	return len(dst), nil
 }
 
 // streamIgnorer is implemented by oracles that may declare they never
@@ -398,14 +432,12 @@ func (e *Engine) appendRecords(recs []Record) {
 // one of several concurrent queries need the per-call count — a view diff
 // would misattribute when another query draws the same pair concurrently.
 //
-// The whole batch is sampled through one dynamic dispatch: oracles
-// implementing FallibleBatchOracle (preferred) or BatchOracle fill a
-// pooled scratch buffer in a single call, everyone else falls back to n
-// direct Preference calls. All paths consume the pair's private stream
-// identically (BatchOracle's contract), so batching never changes the
-// samples a pair receives.
+// The whole batch is sampled through one call of the oracle's kernel
+// (kernelOf) into a pooled scratch buffer. Every kernel consumes the
+// pair's private stream as n Preference calls would (BatchOracle's
+// contract), so batching never changes the samples a pair receives.
 //
-// The fallible path may decline part of the purchase: only the answers
+// A fallible kernel may decline part of the purchase: only the answers
 // actually delivered are charged (the reservation for undelivered slots
 // is refunded), and a reported error latches the engine into degraded
 // mode — this and every later Draw grant nothing more, so TMC always
@@ -428,75 +460,14 @@ func (e *Engine) DrawN(i, j, n int) (BagView, int) {
 	ps := e.pair(k)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if e.failed.Load() {
-		return ps.bag.view(i != k.lo), 0
-	}
-	req := n
-	n = e.reserve(n)
-	if ins := e.ins; ins != nil && n < req {
-		ins.CapDenied.Add(int64(req - n))
-	}
 	charged := 0
 	if n > 0 {
 		bufp := drawBufPool.Get().(*[]float64)
-		buf := *bufp
-		if cap(buf) < n {
-			buf = make([]float64, n)
+		if cap(*bufp) < n {
+			*bufp = make([]float64, n)
 		}
-		buf = buf[:n]
-		filled := n
-		rng := e.streamLocked(ps, k)
-		switch {
-		case e.fallible != nil:
-			var err error
-			filled, err = e.fallible.PreferencesPartial(rng, k.lo, k.hi, buf)
-			if filled < 0 {
-				filled = 0
-			} else if filled > n {
-				filled = n
-			}
-			if err != nil {
-				e.fail(err)
-			}
-		case e.batch != nil:
-			e.batch.Preferences(rng, k.lo, k.hi, buf)
-		default:
-			o := e.oracle
-			for t := range buf {
-				buf[t] = o.Preference(rng, k.lo, k.hi)
-			}
-		}
-		if filled < n {
-			// Refund the reservation for answers that never arrived: TMC
-			// charges only what was delivered and accepted.
-			e.tmc.Add(int64(filled - n))
-		}
-		buf = buf[:filled]
-		for _, v := range buf {
-			if v < -1 || v > 1 {
-				panic(fmt.Sprintf("crowd: oracle returned preference %v outside [-1,1] for pair (%d,%d)", v, k.lo, k.hi))
-			}
-		}
-		if filled > 0 {
-			ps.bag.addAll(buf)
-			if e.logging.Load() {
-				e.flushLog(ps, k, buf)
-			}
-			e.pairCmp.Add(int64(filled))
-			ps.publishLocked()
-		}
-		if ins := e.ins; ins != nil {
-			ins.Batches.Inc()
-			ins.Samples.Add(int64(filled))
-			ins.TMC.Add(int64(filled))
-			if filled < n {
-				ins.Refunds.Add(int64(n - filled))
-			}
-			ins.BagSize.Observe(int64(ps.bag.pref.N()))
-		}
-		*bufp = buf[:0]
+		charged = e.buyLocked(ps, k, (*bufp)[:n])
 		drawBufPool.Put(bufp)
-		charged = filled
 	}
 	return ps.bag.view(i != k.lo), charged
 }
@@ -504,8 +475,9 @@ func (e *Engine) DrawN(i, j, n int) (BagView, int) {
 // DrawOne purchases a single preference microtask for the pair (i, j) and
 // returns the sampled value oriented toward i (positive favors i). Like
 // Draw it costs one unit of TMC and records the sample in the pair's bag.
-// The second result is false — and nothing is purchased — when a spending
-// cap is exhausted or the engine has degraded after a platform failure.
+// The second result is false — and nothing is charged — when a spending
+// cap is exhausted, the engine has degraded after a platform failure, or
+// the platform delivered no answer.
 func (e *Engine) DrawOne(i, j int) (float64, bool) {
 	if i == j {
 		panic(fmt.Sprintf("crowd: DrawOne on identical items %d", i))
@@ -514,54 +486,76 @@ func (e *Engine) DrawOne(i, j int) (float64, bool) {
 	ps := e.pair(k)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if e.failed.Load() {
+	if e.buyLocked(ps, k, ps.one[:]) == 0 {
 		return 0, false
-	}
-	if e.reserve(1) == 0 {
-		if ins := e.ins; ins != nil {
-			ins.CapDenied.Inc()
-		}
-		return 0, false
-	}
-	var v float64
-	rng := e.streamLocked(ps, k)
-	if e.fallible != nil {
-		var one [1]float64
-		filled, err := e.fallible.PreferencesPartial(rng, k.lo, k.hi, one[:])
-		if err != nil {
-			e.fail(err)
-		}
-		if filled <= 0 {
-			e.tmc.Add(-1) // nothing delivered, nothing charged
-			if ins := e.ins; ins != nil {
-				ins.Batches.Inc()
-				ins.Refunds.Inc()
-			}
-			return 0, false
-		}
-		v = one[0]
-	} else {
-		v = e.oracle.Preference(rng, k.lo, k.hi)
-	}
-	if v < -1 || v > 1 {
-		panic(fmt.Sprintf("crowd: oracle returned preference %v outside [-1,1] for pair (%d,%d)", v, k.lo, k.hi))
-	}
-	ps.bag.add(v)
-	if e.logging.Load() {
-		e.flushLog(ps, k, []float64{v})
-	}
-	e.pairCmp.Add(1)
-	ps.publishLocked()
-	if ins := e.ins; ins != nil {
-		ins.Batches.Inc()
-		ins.Samples.Inc()
-		ins.TMC.Inc()
-		ins.BagSize.Observe(int64(ps.bag.pref.N()))
 	}
 	if i != k.lo {
-		return -v, true
+		return -ps.one[0], true
 	}
-	return v, true
+	return ps.one[0], true
+}
+
+// admit is the admission step every purchase shares: a degraded engine
+// grants nothing, otherwise up to n microtasks are reserved against the
+// cap, and whatever the cap declined is counted as CapDenied. It returns
+// the microtasks granted.
+func (e *Engine) admit(n int) int {
+	if e.failed.Load() {
+		return 0
+	}
+	granted := e.reserve(n)
+	if ins := e.ins; ins != nil && granted < n {
+		ins.CapDenied.Add(int64(n - granted))
+	}
+	return granted
+}
+
+// buyLocked is the one purchase routine of the pairwise paths: it admits
+// up to len(dst) microtasks, fills the granted prefix of dst — canonical
+// (lo, hi) orientation — through the kernel, refunds every slot the
+// kernel left empty, and books the delivered answers into the pair's
+// bag, the audit log, the counters, the published snapshot and the
+// instruments. It returns how many answers were delivered and charged.
+// Callers must hold ps.mu.
+func (e *Engine) buyLocked(ps *pairState, k pairKey, dst []float64) int {
+	n := e.admit(len(dst))
+	if n == 0 {
+		return 0
+	}
+	filled, err := e.kernel.PreferencesPartial(e.streamLocked(ps, k), k.lo, k.hi, dst[:n])
+	if err != nil {
+		e.fail(err)
+	}
+	filled = max(0, min(filled, n))
+	if filled < n {
+		// Refund the reservation for answers that never arrived: TMC
+		// charges only what was delivered and accepted.
+		e.tmc.Add(int64(filled - n))
+	}
+	got := dst[:filled]
+	for _, v := range got {
+		if v < -1 || v > 1 {
+			panic(fmt.Sprintf("crowd: oracle returned preference %v outside [-1,1] for pair (%d,%d)", v, k.lo, k.hi))
+		}
+	}
+	if filled > 0 {
+		ps.bag.addAll(got)
+		if e.logging.Load() {
+			e.flushLog(ps, k, got)
+		}
+		e.pairCmp.Add(int64(filled))
+		ps.publishLocked()
+	}
+	if ins := e.ins; ins != nil {
+		ins.Batches.Inc()
+		ins.Samples.Add(int64(filled))
+		ins.TMC.Add(int64(filled))
+		if filled < n {
+			ins.Refunds.Add(int64(n - filled))
+		}
+		ins.BagSize.Observe(int64(ps.bag.pref.N()))
+	}
+	return filled
 }
 
 // View returns the current bag view for pair (i, j) oriented toward i,
@@ -652,13 +646,7 @@ func (e *Engine) Grade(i int) (float64, bool) {
 	}
 	e.gradeMu.Lock()
 	defer e.gradeMu.Unlock()
-	if e.failed.Load() {
-		return 0, false
-	}
-	if e.reserve(1) == 0 {
-		if ins := e.ins; ins != nil {
-			ins.CapDenied.Inc()
-		}
+	if e.admit(1) == 0 {
 		return 0, false
 	}
 	rng := e.gradeRng[i]

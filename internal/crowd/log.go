@@ -229,24 +229,14 @@ func (rp *Replay) Remaining(i, j int) int {
 	return len(rp.pending[keyOf(i, j)])
 }
 
-// Preference implements Oracle. It panics when the log holds no more
-// answers for the pair — a replayed run that demands judgments the
-// original never bought is a logic error the caller must see.
-func (rp *Replay) Preference(_ *rand.Rand, i, j int) float64 {
-	k := keyOf(i, j)
-	rp.mu.Lock()
-	q := rp.pending[k]
-	if len(q) == 0 {
-		rp.mu.Unlock()
-		panic(fmt.Sprintf("crowd: replay exhausted for pair (%d,%d)", k.lo, k.hi))
-	}
-	v := q[0]
-	rp.pending[k] = q[1:]
-	rp.mu.Unlock()
-	if i != k.lo {
-		return -v
-	}
-	return v
+// Preference implements Oracle: a one-slot Preferences. It panics when
+// the log holds no more answers for the pair — a replayed run that
+// demands judgments the original never bought is a logic error the
+// caller must see.
+func (rp *Replay) Preference(rng *rand.Rand, i, j int) float64 {
+	var v [1]float64
+	rp.Preferences(rng, i, j, v[:])
+	return v[0]
 }
 
 // Preferences implements BatchOracle: the whole batch pops under one lock
@@ -279,20 +269,9 @@ func (rp *Replay) Grade(_ *rand.Rand, i int) float64 {
 	return v
 }
 
-// take pops up to n recorded answers for (i, j), oriented toward i, into
-// a fresh slice; ok is false when the log holds none. It is the
-// non-panicking primitive ReplayThenLive resumes from.
-func (rp *Replay) take(i, j, n int) ([]float64, bool) {
-	buf := make([]float64, n)
-	got := rp.takeUpTo(i, j, buf)
-	if got == 0 {
-		return nil, false
-	}
-	return buf[:got], true
-}
-
 // takeUpTo fills a prefix of dst with recorded answers for (i, j),
-// oriented toward i, and returns how many it supplied.
+// oriented toward i, and returns how many it supplied. It is the
+// non-panicking primitive ReplayThenLive resumes from.
 func (rp *Replay) takeUpTo(i, j int, dst []float64) int {
 	k := keyOf(i, j)
 	rp.mu.Lock()

@@ -55,12 +55,3 @@ func (f FuncOracle) NumItems() int { return f.N }
 func (f FuncOracle) Preference(rng *rand.Rand, i, j int) float64 {
 	return f.Pref(rng, i, j)
 }
-
-// Preferences implements BatchOracle by looping Pref, so FuncOracle tests
-// exercise the engine's batch path with trivially stream-equivalent
-// semantics.
-func (f FuncOracle) Preferences(rng *rand.Rand, i, j int, dst []float64) {
-	for t := range dst {
-		dst[t] = f.Pref(rng, i, j)
-	}
-}

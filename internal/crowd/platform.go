@@ -65,11 +65,12 @@ type Closer interface {
 }
 
 // BatchOracle is implemented by oracles that can answer many microtasks
-// for the same pair in one exchange — the natural shape for asynchronous
-// platforms, and the fast path for simulated ones. The engine prefers one
-// Preferences call over len(dst) sequential Preference calls; dst is a
-// caller-owned scratch buffer, so implementations fill it rather than
-// allocate.
+// for the same pair in one exchange — the fast path for simulated
+// crowds, implemented by every dataset. The engine resolves an oracle's
+// purchase kernel once (kernelOf): one Preferences call replaces
+// len(dst) sequential Preference calls, so an oracle without a faster
+// batch than that loop should not implement it. dst is a caller-owned
+// scratch buffer, so implementations fill it rather than allocate.
 //
 // Contract: Preferences(rng, i, j, dst) must leave rng in exactly the
 // state len(dst) sequential Preference(rng, i, j) calls would, and fill
@@ -88,10 +89,12 @@ type BatchOracle interface {
 // and err is non-nil when the backend failed outright (the engine then
 // latches into degraded mode and stops purchasing).
 //
-// The engine prefers this path over BatchOracle when both are available:
+// kernelOf prefers this kernel over BatchOracle when both are available:
 // it is the only way an oracle can decline part of a purchase without
 // panicking, and the engine refunds every unfilled slot so the monetary
-// accounting stays exact.
+// accounting stays exact. Every engine purchase, DrawOne included, goes
+// through the resolved kernel, so an oracle that implements this needs
+// no BatchOracle beside it.
 type FallibleBatchOracle interface {
 	PreferencesPartial(rng *rand.Rand, i, j int, dst []float64) (filled int, err error)
 }
@@ -192,8 +195,8 @@ func (po *PlatformOracle) NumItems() int { return po.n }
 func (po *PlatformOracle) ignoresStream() bool { return true }
 
 // Preference implements Oracle: one task posted, one answer awaited.
-// It panics on platform failure — this legacy scalar path exists only
-// for direct use outside the engine; the engine always purchases through
+// It panics on platform failure — this scalar path exists only for
+// direct use outside the engine; the engine always purchases through
 // PreferencesPartial, which reports errors instead.
 func (po *PlatformOracle) Preference(_ *rand.Rand, i, j int) float64 {
 	var v [1]float64
@@ -205,19 +208,6 @@ func (po *PlatformOracle) Preference(_ *rand.Rand, i, j int) float64 {
 		panic(fmt.Sprintf("crowd: platform returned no valid answer for pair (%d,%d)", i, j))
 	}
 	return v[0]
-}
-
-// Preferences implements BatchOracle for callers that cannot tolerate a
-// short batch; like Preference it panics on failure and exists for direct
-// use only. The engine uses PreferencesPartial.
-func (po *PlatformOracle) Preferences(_ *rand.Rand, i, j int, dst []float64) {
-	filled, err := po.PreferencesPartial(nil, i, j, dst)
-	if err != nil {
-		panic(fmt.Sprintf("crowd: platform failure on pair (%d,%d): %v", i, j, err))
-	}
-	if filled != len(dst) {
-		panic(fmt.Sprintf("crowd: platform answered %d of %d tasks for pair (%d,%d)", filled, len(dst), i, j))
-	}
 }
 
 // PreferencesPartial implements FallibleBatchOracle: the batch is posted

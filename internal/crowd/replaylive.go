@@ -23,6 +23,7 @@ import (
 type ReplayThenLive struct {
 	replay *Replay
 	live   Oracle
+	kernel FallibleBatchOracle // kernelOf(live): the live oracle's purchase kernel
 	tasks  atomic.Int64
 	served atomic.Int64
 }
@@ -33,7 +34,7 @@ func NewReplayThenLive(log []Record, live Oracle) *ReplayThenLive {
 	if live == nil {
 		panic("crowd: NewReplayThenLive requires a live oracle")
 	}
-	return &ReplayThenLive{replay: NewReplay(live.NumItems(), log), live: live}
+	return &ReplayThenLive{replay: NewReplay(live.NumItems(), log), live: live, kernel: kernelOf(live)}
 }
 
 // NumItems implements Oracle.
@@ -59,7 +60,8 @@ func (rl *ReplayThenLive) ReplayedRemaining(i, j int) int { return rl.replay.Rem
 
 // Preference implements Oracle: recorded answers first, then live.
 func (rl *ReplayThenLive) Preference(rng *rand.Rand, i, j int) float64 {
-	if v, ok := rl.replay.take(i, j, 1); ok {
+	var v [1]float64
+	if rl.replay.takeUpTo(i, j, v[:]) == 1 {
 		rl.served.Add(1)
 		return v[0]
 	}
@@ -67,32 +69,14 @@ func (rl *ReplayThenLive) Preference(rng *rand.Rand, i, j int) float64 {
 	return rl.live.Preference(rng, i, j)
 }
 
-// Preferences implements BatchOracle: the prefix of the batch comes from
-// the log, the remainder from the live oracle. Replayed answers ignore
-// rng (they are recorded), live answers consume it exactly as sequential
-// Preference calls would, so the stream-equivalence contract holds.
-func (rl *ReplayThenLive) Preferences(rng *rand.Rand, i, j int, dst []float64) {
-	replayed := rl.replay.takeUpTo(i, j, dst)
-	rl.served.Add(int64(replayed))
-	rest := dst[replayed:]
-	if len(rest) == 0 {
-		return
-	}
-	rl.tasks.Add(int64(len(rest)))
-	if b, ok := rl.live.(BatchOracle); ok {
-		b.Preferences(rng, i, j, rest)
-		return
-	}
-	for t := range rest {
-		rest[t] = rl.live.Preference(rng, i, j)
-	}
-}
-
-// PreferencesPartial implements FallibleBatchOracle: the replayed prefix
-// is always delivered (history is already paid for and cannot fail), and
-// only the live remainder can come up short. LiveTasks counts the answers
-// the live oracle actually delivered, mirroring the engine's charge-what-
-// arrived accounting, so TMC equals replayed + live even across failures.
+// PreferencesPartial implements FallibleBatchOracle: the prefix of the
+// batch comes from the log, the remainder from the live oracle's kernel.
+// Replayed answers ignore rng (they are recorded) and cannot fail
+// (history is already paid for); live answers consume rng exactly as
+// sequential Preference calls would, and only they can come up short.
+// LiveTasks counts the answers the live oracle actually delivered,
+// mirroring the engine's charge-what-arrived accounting, so TMC equals
+// replayed + live even across failures.
 func (rl *ReplayThenLive) PreferencesPartial(rng *rand.Rand, i, j int, dst []float64) (int, error) {
 	replayed := rl.replay.takeUpTo(i, j, dst)
 	rl.served.Add(int64(replayed))
@@ -100,20 +84,9 @@ func (rl *ReplayThenLive) PreferencesPartial(rng *rand.Rand, i, j int, dst []flo
 	if len(rest) == 0 {
 		return replayed, nil
 	}
-	if fb, ok := rl.live.(FallibleBatchOracle); ok {
-		filled, err := fb.PreferencesPartial(rng, i, j, rest)
-		rl.tasks.Add(int64(filled))
-		return replayed + filled, err
-	}
-	rl.tasks.Add(int64(len(rest)))
-	if b, ok := rl.live.(BatchOracle); ok {
-		b.Preferences(rng, i, j, rest)
-	} else {
-		for t := range rest {
-			rest[t] = rl.live.Preference(rng, i, j)
-		}
-	}
-	return len(dst), nil
+	filled, err := rl.kernel.PreferencesPartial(rng, i, j, rest)
+	rl.tasks.Add(int64(filled))
+	return replayed + filled, err
 }
 
 // Grade implements Grader: recorded grades first, then the live oracle,

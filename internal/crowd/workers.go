@@ -111,16 +111,6 @@ func (p *WorkerPool) Preference(rng *rand.Rand, i, j int) float64 {
 	}
 }
 
-// Preferences implements BatchOracle. Each slot draws its own worker and
-// answer through the exact per-sample recurrence Preference uses, in
-// order, so the pair's random stream is consumed identically whether the
-// engine buys samples one at a time or by the batch.
-func (p *WorkerPool) Preferences(rng *rand.Rand, i, j int, dst []float64) {
-	for t := range dst {
-		dst[t] = p.Preference(rng, i, j)
-	}
-}
-
 // Grade implements Grader when the base oracle does; spammers grade
 // randomly on a unit scale, adversaries and honest workers pass through
 // (grading has no direction to flip).

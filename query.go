@@ -257,16 +257,8 @@ func (s *Session) StartTopK(ctx context.Context, k int, qo QueryOptions) (*Query
 		start := time.Now()
 		res := topk.RunContext(qctx, alg, r, k)
 		r.CommitConclusions()
-		out := Result{TopK: res.TopK, TMC: res.TMC, Rounds: res.Rounds}
-		out.Stats = s.opts.Telemetry.statsSince(before, time.Since(start))
-		if out.Stats != nil {
-			out.Stats.TMC = res.TMC
-			out.Stats.Rounds = res.Rounds
-		}
-		h.res = out
-		if res.Err != nil {
-			h.err = partialError(out, s.runner.Engine().Oracle(), res.Err)
-		}
+		stats := s.opts.Telemetry.statsSince(before, time.Since(start))
+		h.res, h.err = queryResult(res, stats, nil, s.runner.Engine().Oracle())
 		close(h.done)
 	}()
 	return h, nil

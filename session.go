@@ -185,20 +185,7 @@ func (s *Session) TopK(k int) (Result, error) {
 
 // Judge runs (or re-reads) one confidence-aware comparison within the
 // session.
-func (s *Session) Judge(i, j int) (Judgment, error) {
-	n := s.runner.Engine().NumItems()
-	if i < 0 || i >= n || j < 0 || j >= n || i == j {
-		return Judgment{}, fmt.Errorf("crowdtopk: invalid pair (%d, %d) over %d items", i, j, n)
-	}
-	out := s.runner.Compare(i, j)
-	s.runner.CommitConclusions()
-	v := s.runner.Engine().View(i, j)
-	jm := Judgment{Outcome: Outcome(out), Workload: v.N, Mean: v.Mean, SD: v.SD}
-	if ferr := s.runner.Err(); ferr != nil {
-		return jm, ferr
-	}
-	return jm, nil
-}
+func (s *Session) Judge(i, j int) (Judgment, error) { return judge(s.runner, i, j) }
 
 // Tiers infers a partial ranking of the given items from the confidence
 // intervals of their preference means against the reference item, using
