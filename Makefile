@@ -144,12 +144,13 @@ fuzz:
 	$(GO) test ./internal/crowd/ -run '^$$' -fuzz FuzzResilientBookkeeping -fuzztime 30s
 
 # Repeat the lazy pair-stream, resilient-adapter, engine identity table,
-# runner purchase accounting and cross-layer identity tests 20 times each:
-# a test that passes once but flakes under repetition (pooled state, map
-# order, a leaked goroutine) fails here.
+# runner purchase accounting, comparison exit-path bookkeeping, bootstrap
+# budget clamp and cross-layer identity tests 20 times each: a test that
+# passes once but flakes under repetition (pooled state, map order, a
+# leaked goroutine) fails here.
 stress:
 	$(GO) test ./internal/crowd/ -run 'TestPairStream|TestSeedPairFreshPairAllocs|TestResilient|FuzzResilientBookkeeping|TestSimPlatformAnswersGolden|TestDrawBatchMatchesScalarFallback' -count 20
-	$(GO) test ./internal/compare/ -run 'TestRunnerPurchaseAccounting' -count 20
+	$(GO) test ./internal/compare/ -run 'TestRunnerPurchaseAccounting|TestRunnerExitPathBookkeeping|TestBootstrapClampedToPairBudget' -count 20
 	$(GO) test . -run 'TestPolicyLayerCrossLayerEquivalence' -count 20
 
 # The deterministic chaos suite under the race detector: seeded fault

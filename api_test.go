@@ -167,6 +167,22 @@ func TestJudgeEasyAndHardPairs(t *testing.T) {
 	}
 }
 
+// An adaptive policy's cold start (8 samples) must not overspend a
+// per-pair budget below it.
+func TestJudgeAdaptiveColdStartWithinBudget(t *testing.T) {
+	d := SyntheticDataset(50, 0.25, 17)
+	order := TrueTopK(d, 50)
+	for _, pol := range []PolicyName{VoIPolicy, PACPolicy} {
+		j, err := Judge(d, order[20], order[21], Options{Policy: pol, Budget: 5, MinWorkload: 2, Seed: 19})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Workload > 5 {
+			t.Errorf("%s: workload %d exceeds the budget of 5", pol, j.Workload)
+		}
+	}
+}
+
 func TestJudgeValidation(t *testing.T) {
 	d := SyntheticDataset(10, 0.2, 20)
 	for _, pair := range [][2]int{{-1, 2}, {2, 10}, {3, 3}} {

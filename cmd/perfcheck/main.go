@@ -5,7 +5,7 @@
 //
 // Emit a trajectory artifact:
 //
-//	go test ./internal/crowd/ -run '^$' -bench . -count 5 | perfcheck -json BENCH_PR2.json
+//	go test ./internal/crowd/ -run '^$' -bench . -count 5 | perfcheck -json trajectory.json
 //
 // Gate a candidate run against a baseline (fails the build on >10%
 // slowdown of any shared benchmark):
@@ -20,7 +20,7 @@
 // tracks both microbenchmark latency and end-to-end query cost:
 //
 //	topkquery -stats-out query-stats.json ...
-//	go test ./... -bench . | perfcheck -json BENCH_PR4.json -stats query-stats.json
+//	go test ./... -bench . | perfcheck -json BENCH_PR5.json -stats query-stats.json
 //
 // With -metric-gate, custom b.ReportMetric values are compared *within*
 // the current run — the right gate for machine-dependent ratios such as

@@ -168,3 +168,34 @@ func TestStoreLatchedHitNotServedAcrossPolicies(t *testing.T) {
 		t.Errorf("StoreStats.Hits = %d, want 1 (hit must not be re-counted cross-policy)", ss.Hits)
 	}
 }
+
+// An adaptive policy's cold start (8 samples) must not overspend a
+// smaller per-pair budget: Compare and Advance both clamp the bootstrap
+// purchase to B and end at the same workload, verdict and TMC.
+func TestBootstrapClampedToPairBudget(t *testing.T) {
+	params := Params{B: 5, I: 2, Step: 1}
+	for _, name := range []string{"voi", "pac"} {
+		pol, err := NewPolicy(name, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := NewRunner(pairEngine(0, 0.5, 9), pol, params)
+		seqOut := seq.Compare(0, 1)
+		wave := NewRunner(pairEngine(0, 0.5, 9), pol, params)
+		waveOut := advanceToEnd(t, wave, 0, 1)
+		for _, tc := range []struct {
+			path string
+			r    *Runner
+		}{{"Compare", seq}, {"Advance", wave}} {
+			if w := tc.r.Workload(0, 1); w != params.B {
+				t.Errorf("%s %s workload = %d, want the per-pair budget %d", name, tc.path, w, params.B)
+			}
+			if tmc := tc.r.QueryTMC(); tmc != int64(params.B) {
+				t.Errorf("%s %s QueryTMC = %d, want %d", name, tc.path, tmc, params.B)
+			}
+		}
+		if seqOut != waveOut {
+			t.Errorf("%s: Compare = %v, Advance = %v", name, seqOut, waveOut)
+		}
+	}
+}

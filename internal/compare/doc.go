@@ -29,6 +29,13 @@
 // The first five run the paper's fixed schedule: the cold-start workload
 // I, then batches of η, both read from the Runner's Params.
 //
+// Every policy but stein stops on one interval rule: conclude when
+// mean ± half-width excludes 0. They differ only in the half-width (the
+// t, normal or anytime Hoeffding interval) and in the evidence floor below
+// which they do not test. Stein races a data-dependent width against |x̄|
+// instead. HalfWidth is part of Policy, so every comparison span records
+// its confidence trajectory and every explain leaf its final width.
+//
 // A Runner binds a policy to a crowd.Engine and adds the paper's execution
 // machinery: minimum initial workload I, per-pair budget B, batch step η
 // (§5.5 microtask-level batch processing), latency ticking, and

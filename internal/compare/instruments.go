@@ -10,14 +10,6 @@ import (
 	"crowdtopk/internal/sched"
 )
 
-// HalfWidther is optionally implemented by policies that can report the
-// half-width of their confidence interval on a bag — the quantity whose
-// per-round trajectory a comparison span records (the paper's confidence
-// evolution). Every policy in this package implements it.
-type HalfWidther interface {
-	HalfWidth(v crowd.BagView) float64
-}
-
 // Instruments is the comparison layer's pre-resolved metric bundle.
 type Instruments struct {
 	Comparisons  *obs.Counter   // comparison processes started
@@ -113,9 +105,6 @@ func (r *Runner) SetParentSpan(id obs.SpanID) { r.parent.Store(uint64(id)) }
 // ParentSpan returns the current parent span id.
 func (r *Runner) ParentSpan() obs.SpanID { return obs.SpanID(r.parent.Load()) }
 
-// enabled reports whether any instrumentation is wired.
-func (r *Runner) enabled() bool { return r.tel != nil }
-
 // instrumented reports whether comparison lifecycles need per-process
 // state: telemetry spans, or cost attribution recording conclusions.
 func (r *Runner) instrumented() bool { return r.tel != nil || r.acct.explain != nil }
@@ -132,10 +121,13 @@ func (r *Runner) memoHit(i, j int) {
 
 // compState tracks one in-flight comparison process across wave steps:
 // its pair, open span and how many batch rounds it has consumed so far.
+// wave marks a state registered in Runner.active, which finishComp
+// removes again.
 type compState struct {
 	i, j   int
 	span   *obs.ActiveSpan
 	rounds int
+	wave   bool
 }
 
 // resolvePolicyCounters re-resolves the policy-labeled comparison
@@ -179,6 +171,7 @@ func (r *Runner) compStateOf(i, j int) *compState {
 		r.active = make(map[[2]int]*compState)
 	}
 	st := r.beginComp(i, j)
+	st.wave = true
 	r.active[k] = st
 	return st
 }
@@ -192,54 +185,52 @@ func (r *Runner) FlushOpenComparisons() {
 		return
 	}
 	r.spanMu.Lock()
-	defer r.spanMu.Unlock()
-	for k, st := range r.active {
+	open := r.active
+	r.active = nil
+	r.spanMu.Unlock()
+	for k, st := range open {
 		if sp := st.span; sp != nil {
 			sp.SetLabel("abandoned", "true")
 		}
 		r.finishComp(st, r.eng.View(k[0], k[1]), Tie, false)
 	}
-	r.active = nil
-}
-
-// dropCompState removes the pair's wave-mode state once it finished.
-func (r *Runner) dropCompState(i, j int) {
-	k, _ := canonical(i, j)
-	r.spanMu.Lock()
-	delete(r.active, k)
-	r.spanMu.Unlock()
 }
 
 // observeRound records one batch round of a comparison: the round count
-// and, when the policy can report it, the confidence-interval half-width
-// the process is racing to shrink. Infinite widths (cold bags) are
-// skipped — they carry no information and JSONL cannot encode them.
+// and the policy's confidence-interval half-width the process is racing
+// to shrink. Infinite widths (cold bags) are skipped — they carry no
+// information and JSONL cannot encode them.
 func (r *Runner) observeRound(st *compState, v crowd.BagView, rounds int) {
 	if st == nil {
 		return
 	}
 	st.rounds += rounds
-	if st.span != nil && r.hw != nil {
-		if hw := r.hw.HalfWidth(v); !math.IsInf(hw, 0) && !math.IsNaN(hw) {
+	if st.span != nil {
+		if hw := r.policy.HalfWidth(v); !math.IsInf(hw, 0) && !math.IsNaN(hw) {
 			st.span.Observe(hw)
 		}
 	}
 }
 
 // finishComp closes a comparison process: verdict counters, workload and
-// round histograms, and the span's final attributes. concluded reports
-// whether a statistical verdict was memoized (as opposed to a best-effort
-// outcome forced by an exhausted cap or budgetless tie).
+// round histograms, the span's final attributes, and — for a wave-mode
+// process — its entry in Runner.active. concluded reports whether a
+// statistical verdict was memoized (as opposed to a best-effort outcome
+// forced by an exhausted cap or budgetless tie).
 func (r *Runner) finishComp(st *compState, v crowd.BagView, o Outcome, concluded bool) {
 	if st == nil {
 		return
 	}
+	if st.wave {
+		k, _ := canonical(st.i, st.j)
+		r.spanMu.Lock()
+		delete(r.active, k)
+		r.spanMu.Unlock()
+	}
 	if c := r.acct.explain; c != nil {
 		hw := 0.0
-		if r.hw != nil {
-			if x := r.hw.HalfWidth(v); !math.IsInf(x, 0) && !math.IsNaN(x) {
-				hw = x
-			}
+		if x := r.policy.HalfWidth(v); !math.IsInf(x, 0) && !math.IsNaN(x) {
+			hw = x
 		}
 		c.Conclude(r.Phase(), st.i, st.j, o.String(), hw, concluded)
 	}

@@ -30,10 +30,6 @@ import (
 type PAC struct {
 	alpha float64
 	half  *stats.F64Cache // anytime half-width keyed by sample count
-	boot  int
-	floor int
-	min   int
-	max   int
 }
 
 // Default PAC shape parameters: the anytime-corrected race is valid from
@@ -52,20 +48,13 @@ func NewPAC(alpha float64) *PAC {
 	if alpha <= 0 || alpha >= 1 {
 		panic("compare: NewPAC requires alpha in (0,1)")
 	}
-	return &PAC{
-		alpha: alpha,
-		half:  newHalfWidthCache(alpha),
-		boot:  pacBootstrap,
-		floor: pacFloor,
-		min:   pacMinBatch,
-		max:   pacMaxBatch,
-	}
+	return &PAC{alpha: alpha, half: newHalfWidthCache(alpha)}
 }
 
 // Name implements Policy.
 func (p *PAC) Name() string { return "pac" }
 
-// HalfWidth implements HalfWidther: the anytime-corrected Hoeffding
+// HalfWidth implements Policy: the anytime-corrected Hoeffding
 // half-width at the current sample count.
 func (p *PAC) HalfWidth(v crowd.BagView) float64 {
 	if v.N < 1 {
@@ -79,19 +68,11 @@ func (p *PAC) Test(v crowd.BagView) Outcome {
 	if v.N < 1 {
 		return Tie
 	}
-	half := p.half.Get(v.N)
-	switch {
-	case v.Mean-half > 0:
-		return FirstWins
-	case v.Mean+half < 0:
-		return SecondWins
-	default:
-		return Tie
-	}
+	return interval(v.Mean, p.half.Get(v.N))
 }
 
 // Bootstrap implements Policy.
-func (p *PAC) Bootstrap(v crowd.BagView, _ Params) int { return p.boot - v.N }
+func (p *PAC) Bootstrap(v crowd.BagView, _ Params) int { return pacBootstrap - v.N }
 
 // projected returns the sample size at which the anytime Hoeffding
 // interval is expected to shrink below the observed gap: the inversion of
@@ -107,7 +88,7 @@ func (p *PAC) projected(v crowd.BagView) float64 {
 }
 
 // Next implements Policy: the geometric batch n/2, clamped by the
-// projected remaining distance, the [min, max] bounds and the budget;
+// projected remaining distance, [pacMinBatch, pacMaxBatch] and the budget;
 // eliminate (0) when the projection is not fundable.
 func (p *PAC) Next(v crowd.BagView, left int, _ Params) int {
 	if left <= 0 {
@@ -117,18 +98,18 @@ func (p *PAC) Next(v crowd.BagView, left int, _ Params) int {
 	// The sum is computed in float64: an unlimited budget arrives as
 	// MaxInt, and v.N+left would wrap negative in int arithmetic, turning
 	// "always fundable" into "never fundable".
-	if v.N >= p.floor && need > float64(v.N)+float64(left) {
+	if v.N >= pacFloor && need > float64(v.N)+float64(left) {
 		return 0 // gap too small to separate within budget: eliminate
 	}
 	n := v.N / 2
 	if d := need - float64(v.N); d > 0 && float64(n) > d {
 		n = int(d)
 	}
-	if n < p.min {
-		n = p.min
+	if n < pacMinBatch {
+		n = pacMinBatch
 	}
-	if n > p.max {
-		n = p.max
+	if n > pacMaxBatch {
+		n = pacMaxBatch
 	}
 	if n > left {
 		n = left

@@ -77,6 +77,26 @@ type Policy interface {
 	// as a budget-exhausted tie. Adaptive policies use this to abandon
 	// pairs whose projected cost to a verdict exceeds what is left.
 	Next(v crowd.BagView, left int, p Params) int
+	// HalfWidth reports the half-width of the policy's confidence
+	// interval on the bag (+Inf below its evidence floor): the quantity
+	// whose per-round trajectory a comparison span records and whose
+	// final value the explain tree reports.
+	HalfWidth(v crowd.BagView) float64
+}
+
+// interval is the stopping rule every policy but Stein shares: conclude
+// when the interval mean ± half excludes 0. Callers apply their own
+// evidence floor first, so half is always finite here; Runner.Leaning
+// applies it at zero width.
+func interval(mean, half float64) Outcome {
+	switch {
+	case mean-half > 0:
+		return FirstWins
+	case mean+half < 0:
+		return SecondWins
+	default:
+		return Tie
+	}
 }
 
 // fixedSchedule is the paper's sampling schedule (§5.5), embedded by the
@@ -185,29 +205,26 @@ func NewStudentOneSided(alpha float64) *Student {
 // Name implements Policy.
 func (s *Student) Name() string { return s.name }
 
-// HalfWidth implements HalfWidther: the Student-t confidence-interval
+// HalfWidth implements Policy: the Student-t confidence-interval
 // half-width at the current sample size (infinite below two samples).
-func (s *Student) HalfWidth(v crowd.BagView) float64 {
-	if v.N < 2 {
-		return math.Inf(1)
-	}
-	return s.tt.Critical(v.N-1) * v.SD / math.Sqrt(float64(v.N))
-}
+func (s *Student) HalfWidth(v crowd.BagView) float64 { return tHalfWidth(s.tt, v) }
 
-// Test implements Policy.
+// Test implements Policy. It computes the half-width inline: tHalfWidth
+// does not inline, and the call runs after every batch of every pair.
 func (s *Student) Test(v crowd.BagView) Outcome {
 	if v.N < 2 {
 		return Tie
 	}
-	half := s.HalfWidth(v)
-	switch {
-	case v.Mean-half > 0:
-		return FirstWins
-	case v.Mean+half < 0:
-		return SecondWins
-	default:
-		return Tie
+	return interval(v.Mean, s.tt.Critical(v.N-1)*v.SD/math.Sqrt(float64(v.N)))
+}
+
+// tHalfWidth is the t-interval half-width t·S/√n, infinite below two
+// samples.
+func tHalfWidth(tt *stats.TTable, v crowd.BagView) float64 {
+	if v.N < 2 {
+		return math.Inf(1)
 	}
+	return tt.Critical(v.N-1) * v.SD / math.Sqrt(float64(v.N))
 }
 
 // Stein implements Algorithm 5 (STEINCOMP): Stein's estimation recast as a
@@ -230,16 +247,11 @@ func NewStein(alpha float64) *Stein {
 // Name implements Policy.
 func (s *Stein) Name() string { return "stein" }
 
-// HalfWidth implements HalfWidther. Stein's rule targets a data-dependent
+// HalfWidth implements Policy. Stein's rule targets a data-dependent
 // width L rather than a fixed one; the reported trajectory is the plain
 // t-interval half-width of the current bag, the quantity the rule is
 // racing against |x̄|.
-func (s *Stein) HalfWidth(v crowd.BagView) float64 {
-	if v.N < 2 {
-		return math.Inf(1)
-	}
-	return s.tt.Critical(v.N-1) * v.SD / math.Sqrt(float64(v.N))
-}
+func (s *Stein) HalfWidth(v crowd.BagView) float64 { return tHalfWidth(s.tt, v) }
 
 // Test implements Policy.
 func (s *Stein) Test(v crowd.BagView) Outcome {
@@ -286,8 +298,7 @@ func anytimeAlpha(alpha float64, n int) float64 {
 // (Algorithm 1) and pay no such premium.
 type Hoeffding struct {
 	fixedSchedule
-	alpha float64
-	half  *stats.F64Cache // anytime half-width keyed by vote count
+	half *stats.F64Cache // anytime half-width keyed by vote count
 }
 
 // NewHoeffding returns the Hoeffding policy at significance level alpha.
@@ -295,7 +306,7 @@ func NewHoeffding(alpha float64) *Hoeffding {
 	if alpha <= 0 || alpha >= 1 {
 		panic("compare: NewHoeffding requires alpha in (0,1)")
 	}
-	return &Hoeffding{alpha: alpha, half: newHalfWidthCache(alpha)}
+	return &Hoeffding{half: newHalfWidthCache(alpha)}
 }
 
 // newHalfWidthCache memoizes the anytime-corrected Hoeffding half-width by
@@ -310,7 +321,7 @@ func newHalfWidthCache(alpha float64) *stats.F64Cache {
 // Name implements Policy.
 func (h *Hoeffding) Name() string { return "hoeffding" }
 
-// HalfWidth implements HalfWidther: the anytime-corrected Hoeffding
+// HalfWidth implements Policy: the anytime-corrected Hoeffding
 // half-width at the current vote count (infinite before the first vote).
 func (h *Hoeffding) HalfWidth(v crowd.BagView) float64 {
 	if v.BinN < 1 {
@@ -324,15 +335,7 @@ func (h *Hoeffding) Test(v crowd.BagView) Outcome {
 	if v.BinN < 1 {
 		return Tie
 	}
-	half := h.half.Get(v.BinN)
-	switch {
-	case v.BinMean-half > 0:
-		return FirstWins
-	case v.BinMean+half < 0:
-		return SecondWins
-	default:
-		return Tie
-	}
+	return interval(v.BinMean, h.half.Get(v.BinN))
 }
 
 // HoeffdingPref applies the distribution-free Hoeffding interval directly
@@ -350,8 +353,7 @@ func (h *Hoeffding) Test(v crowd.BagView) Outcome {
 // distributions that are asymmetric or unclipped.
 type HoeffdingPref struct {
 	fixedSchedule
-	alpha float64
-	half  *stats.F64Cache
+	half *stats.F64Cache
 }
 
 // NewHoeffdingPref returns the distribution-free preference policy at
@@ -360,13 +362,13 @@ func NewHoeffdingPref(alpha float64) *HoeffdingPref {
 	if alpha <= 0 || alpha >= 1 {
 		panic("compare: NewHoeffdingPref requires alpha in (0,1)")
 	}
-	return &HoeffdingPref{alpha: alpha, half: newHalfWidthCache(alpha)}
+	return &HoeffdingPref{half: newHalfWidthCache(alpha)}
 }
 
 // Name implements Policy.
 func (h *HoeffdingPref) Name() string { return "hoeffding-pref" }
 
-// HalfWidth implements HalfWidther.
+// HalfWidth implements Policy.
 func (h *HoeffdingPref) HalfWidth(v crowd.BagView) float64 {
 	if v.N < 1 {
 		return math.Inf(1)
@@ -379,13 +381,5 @@ func (h *HoeffdingPref) Test(v crowd.BagView) Outcome {
 	if v.N < 1 {
 		return Tie
 	}
-	half := h.half.Get(v.N)
-	switch {
-	case v.Mean-half > 0:
-		return FirstWins
-	case v.Mean+half < 0:
-		return SecondWins
-	default:
-		return Tie
-	}
+	return interval(v.Mean, h.half.Get(v.N))
 }

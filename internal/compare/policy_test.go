@@ -108,17 +108,28 @@ func TestFixedScheduleReadsParams(t *testing.T) {
 	}
 }
 
+// allPolicies builds every named policy at significance level alpha.
+func allPolicies(t *testing.T, alpha float64) []Policy {
+	t.Helper()
+	var pols []Policy
+	for _, name := range PolicyNames() {
+		p, err := NewPolicy(name, alpha)
+		if err != nil {
+			t.Fatalf("NewPolicy(%q): %v", name, err)
+		}
+		pols = append(pols, p)
+	}
+	return pols
+}
+
 func TestPoliciesUndecidedOnTinyBags(t *testing.T) {
-	for _, p := range []Policy{NewStudent(0.05), NewStein(0.05)} {
-		if got := p.Test(crowd.BagView{N: 1, Mean: 0.9}); got != Tie {
-			t.Errorf("%s on N=1 = %v, want tie", p.Name(), got)
+	for _, p := range allPolicies(t, 0.05) {
+		if got := p.Test(crowd.BagView{N: 1, Mean: 0.9, BinN: 1, BinMean: 0.9}); got != Tie {
+			t.Errorf("%s on one sample = %v, want tie", p.Name(), got)
 		}
 		if got := p.Test(crowd.BagView{}); got != Tie {
 			t.Errorf("%s on empty bag = %v, want tie", p.Name(), got)
 		}
-	}
-	if got := NewHoeffding(0.05).Test(crowd.BagView{BinN: 0}); got != Tie {
-		t.Errorf("hoeffding on empty bag = %v, want tie", got)
 	}
 }
 
@@ -201,7 +212,7 @@ func TestHoeffdingDecisionRule(t *testing.T) {
 
 func TestPolicyAntisymmetryProperty(t *testing.T) {
 	// Test(view toward i) must equal Test(view toward j).Flip().
-	policies := []Policy{NewStudent(0.05), NewStein(0.05), NewHoeffding(0.05)}
+	policies := allPolicies(t, 0.05)
 	f := func(ni uint8, meanI, sdI int16, binMeanI int16) bool {
 		n := int(ni)%500 + 2
 		mean := float64(meanI) / math.MaxInt16 // [-1, 1]

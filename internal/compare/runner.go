@@ -88,14 +88,13 @@ type Runner struct {
 	policy Policy
 	params Params
 
-	// Telemetry wiring (SetTelemetry). tel/ins/hw are written once at
-	// wiring time; nil means the corresponding instrumentation is off and
-	// costs one nil check. parent is the span comparison spans nest under,
+	// Telemetry wiring (SetTelemetry). tel/ins are written once at wiring
+	// time; nil means the corresponding instrumentation is off and costs
+	// one nil check. parent is the span comparison spans nest under,
 	// updated by the algorithm layer as phases change. active tracks the
 	// open span and round count of each in-flight wave-mode comparison.
 	tel    *obs.Telemetry
 	ins    *Instruments
-	hw     HalfWidther
 	parent atomic.Uint64
 	spanMu sync.Mutex
 	active map[[2]int]*compState
@@ -345,9 +344,6 @@ func NewRunner(e *crowd.Engine, pol Policy, p Params) *Runner {
 		acct:   &queryAcct{},
 	}
 	r.sch = sched.New(r.Parallelism())
-	// Cache the half-width reporter once so comparison spans can record
-	// confidence trajectories without a type assertion per round.
-	r.hw, _ = r.policy.(HalfWidther)
 	return r
 }
 
@@ -368,7 +364,6 @@ func (r *Runner) SetPolicy(pol Policy) {
 		panic("compare: SetPolicy requires a non-nil policy")
 	}
 	r.policy = pol
-	r.hw, _ = r.policy.(HalfWidther)
 	r.memo = r.memo.forPolicy(r.policy.Name())
 	r.resolvePolicyCounters()
 }
@@ -378,24 +373,7 @@ func (r *Runner) SetPolicy(pol Policy) {
 // memo and telemetry wiring, but starts a fresh accounting slice — so
 // QueryTMC/QueryRounds on the fork report exactly what that query
 // consumed — and fresh span state. Forks may run TopK concurrently.
-func (r *Runner) Fork() *Runner {
-	f := &Runner{
-		eng:            r.eng,
-		policy:         r.policy,
-		params:         r.params,
-		tel:            r.tel,
-		ins:            r.ins,
-		hw:             r.hw,
-		polComparisons: r.polComparisons,
-		polConcluded:   r.polConcluded,
-		sch:            r.sch,
-		acct:           &queryAcct{},
-		memo:           r.memo,
-		js:             r.js,
-	}
-	f.parent.Store(r.parent.Load())
-	return f
-}
+func (r *Runner) Fork() *Runner { return r.clone(r.params, &queryAcct{}, r.memo, false) }
 
 // Derive returns a sub-phase runner with different execution parameters
 // but the same engine, policy, scheduler handle and accounting slice —
@@ -405,23 +383,29 @@ func (r *Runner) Fork() *Runner {
 // leak into the main query's verdict table.
 func (r *Runner) Derive(p Params) *Runner {
 	p.validate()
-	d := &Runner{
+	return r.clone(p, r.acct, &memoTable{}, true)
+}
+
+// clone returns a runner on r's engine, policy, scheduler, telemetry and
+// judgment store with the given parameters, accounting slice and memo,
+// nesting its spans under r's current parent, with no open span state.
+func (r *Runner) clone(p Params, acct *queryAcct, memo *memoTable, derived bool) *Runner {
+	c := &Runner{
 		eng:            r.eng,
 		policy:         r.policy,
 		params:         p,
 		tel:            r.tel,
 		ins:            r.ins,
-		hw:             r.hw,
 		polComparisons: r.polComparisons,
 		polConcluded:   r.polConcluded,
 		sch:            r.sch,
-		acct:           r.acct,
-		memo:           &memoTable{},
+		acct:           acct,
+		memo:           memo,
 		js:             r.js,
-		derived:        true,
+		derived:        derived,
 	}
-	d.parent.Store(r.parent.Load())
-	return d
+	c.parent.Store(r.parent.Load())
+	return c
 }
 
 // SetExplain attaches a per-query cost-attribution collector: every
@@ -771,10 +755,34 @@ func (r *Runner) budgetLeft(n int) int {
 	return r.params.B - n
 }
 
+// judge applies the stopping rule to the pair's evidence v. On a tie it
+// asks the policy for the next batch size n; while n > 0 the pair stays
+// open. A verdict, or a tie the policy declines to buy further evidence
+// for (the budget ran dry, or an adaptive policy judged the verdict
+// unreachable within it), concludes the pair: it is memoized, queued for
+// the judgment store, and its comparison closed — the one place every
+// statistical conclusion is booked. It returns n = 0 for a concluded pair.
+func (r *Runner) judge(i, j int, st *compState, v crowd.BagView) (Outcome, int) {
+	o := r.policy.Test(v)
+	if o == Tie {
+		if n := r.policy.Next(v, r.budgetLeft(v.N), r.params); n > 0 {
+			return Tie, n
+		}
+	}
+	r.remember(i, j, o)
+	r.noteConclusion(i, j, o, o == Tie)
+	r.finishComp(st, v, o, true)
+	return o, 0
+}
+
 // Compare runs the full comparison process COMP(o_i, o_j) sequentially:
 // it keeps purchasing policy-chosen batches until the policy concludes or
 // declines to buy, advancing the latency clock by one round per batch.
 // Concluded pairs are memoized; calling Compare again costs nothing.
+//
+// Compare tests the evidence a warm bag already holds before buying more
+// (Advance buys first), and a spending cap that runs dry ends it with a
+// best-effort tie (Advance reports the test of what was bought).
 func (r *Runner) Compare(i, j int) Outcome {
 	if o, ok := r.Concluded(i, j); ok {
 		r.memoHit(i, j)
@@ -785,73 +793,57 @@ func (r *Runner) Compare(i, j int) Outcome {
 		st = r.beginComp(i, j)
 	}
 	v := r.eng.View(i, j)
+	// buy purchases n samples and ticks the rounds they occupied: a cold
+	// start arrives Step at a time, so its granted samples cost
+	// ceil(granted/Step) rounds (Step stays the latency constant η even
+	// when the policy sizes purchases itself); any other purchase is one
+	// round. Rounds count what the engine granted: a spending cap may
+	// truncate the draw, and the ungranted remainder never occupied a
+	// round. When nothing is granted, the global cap ran dry: buy closes
+	// the comparison as a best-effort tie, not memoized — the pair itself
+	// is not statistically spent — and reports false.
+	buy := func(n int, cold bool) bool {
+		before := v.N
+		r.execStep(func() { v = r.draw(i, j, n) })
+		granted := v.N - before
+		if granted == 0 {
+			r.finishComp(st, v, Tie, false)
+			return false
+		}
+		rounds := 1
+		if cold {
+			rounds = (granted + r.params.Step - 1) / r.params.Step
+		}
+		r.Tick(rounds)
+		r.observeRound(st, v, rounds)
+		return true
+	}
 	verify := r.takeVerify(i, j)
 	for {
-		if need := r.policy.Bootstrap(v, r.params); need > 0 {
-			// Cold start: the policy's bootstrap workload arrives Step at a
-			// time, so the granted samples cost ceil(granted/Step) batch
-			// rounds (Step stays the latency constant η even when the
-			// policy sizes purchases itself). Rounds are counted from what
-			// the engine actually granted: a spending cap may truncate the
-			// draw, and the ungranted remainder never occupied a round
-			// (nor must it be re-counted if the loop re-enters this
-			// branch). A stale store prior that only partly covers the
-			// cold start is verified here — the purchase is the reduced
-			// batch.
+		if need := min(r.policy.Bootstrap(v, r.params), r.budgetLeft(v.N)); need > 0 {
+			// Cold start, clamped to the per-pair budget. A stale store
+			// prior that only partly covers it is verified here — the
+			// purchase is the reduced batch.
 			verify = false
-			before := v.N
-			r.execStep(func() { v = r.draw(i, j, need) })
-			granted := v.N - before
-			if granted == 0 {
-				// A global spending cap ran dry: best-effort tie, not
-				// memoized — the pair itself is not statistically spent.
-				r.finishComp(st, v, Tie, false)
+			if !buy(need, true) {
 				return Tie
 			}
-			rounds := (granted + r.params.Step - 1) / r.params.Step
-			r.Tick(rounds)
-			r.observeRound(st, v, rounds)
 		} else if verify {
 			// A stale store prior already covers the whole cold start: buy
 			// one reduced verification batch before trusting the stopping
 			// rule on decayed evidence alone.
 			verify = false
-			if n := r.policy.Next(v, r.budgetLeft(v.N), r.params); n > 0 {
-				before := v.N
-				r.execStep(func() { v = r.draw(i, j, n) })
-				if v.N == before {
-					r.finishComp(st, v, Tie, false)
-					return Tie
-				}
-				r.Tick(1)
-				r.observeRound(st, v, 1)
+			if n := r.policy.Next(v, r.budgetLeft(v.N), r.params); n > 0 && !buy(n, false) {
+				return Tie
 			}
 		}
-		if o := r.policy.Test(v); o != Tie {
-			r.remember(i, j, o)
-			r.noteConclusion(i, j, o, false)
-			r.finishComp(st, v, o, true)
+		o, n := r.judge(i, j, st, v)
+		if n == 0 {
 			return o
 		}
-		n := r.policy.Next(v, r.budgetLeft(v.N), r.params)
-		if n <= 0 {
-			// The policy declines to buy: the budget ran dry, or an
-			// adaptive policy judged the verdict unreachable within it.
-			// Either way the pair concludes as a protocol-level tie.
-			r.remember(i, j, Tie)
-			r.noteConclusion(i, j, Tie, true)
-			r.finishComp(st, v, Tie, true)
+		if !buy(n, false) {
 			return Tie
 		}
-		before := v.N
-		r.execStep(func() { v = r.draw(i, j, n) })
-		if v.N == before {
-			// Spending cap exhausted mid-comparison: no round ran.
-			r.finishComp(st, v, Tie, false)
-			return Tie
-		}
-		r.Tick(1)
-		r.observeRound(st, v, 1)
 	}
 }
 
@@ -881,46 +873,20 @@ func (r *Runner) Advance(i, j int) (Outcome, bool) {
 	if n <= 0 {
 		n = r.policy.Next(v, r.budgetLeft(v.N), r.params)
 	}
-	if left := r.budgetLeft(v.N); n > left {
-		n = left
-	}
-	if n > 0 {
+	if n = min(n, r.budgetLeft(v.N)); n > 0 {
 		before := v.N
 		v = r.draw(i, j, n)
 		if v.N == before {
 			// Global spending cap exhausted: report the pair finished
 			// (best effort) without memoizing a statistical conclusion.
 			o := r.policy.Test(v)
-			if st != nil {
-				r.finishComp(st, v, o, false)
-				r.dropCompState(i, j)
-			}
+			r.finishComp(st, v, o, false)
 			return o, true
 		}
 		r.observeRound(st, v, 1)
 	}
-	if o := r.policy.Test(v); o != Tie {
-		r.remember(i, j, o)
-		r.noteConclusion(i, j, o, false)
-		if st != nil {
-			r.finishComp(st, v, o, true)
-			r.dropCompState(i, j)
-		}
-		return o, true
-	}
-	if r.policy.Next(v, r.budgetLeft(v.N), r.params) <= 0 {
-		// No further purchase is coming — the budget ran dry, or an
-		// adaptive policy judged the verdict unreachable within it: the
-		// pair concludes as a protocol-level tie.
-		r.remember(i, j, Tie)
-		r.noteConclusion(i, j, Tie, true)
-		if st != nil {
-			r.finishComp(st, v, Tie, true)
-			r.dropCompState(i, j)
-		}
-		return Tie, true
-	}
-	return Tie, false
+	o, n := r.judge(i, j, st, v)
+	return o, n == 0
 }
 
 // TestOnly applies the policy to the samples already purchased for (i, j)
@@ -933,18 +899,8 @@ func (r *Runner) TestOnly(i, j int) Outcome {
 // (i, j), regardless of confidence: FirstWins if the mean (toward i) is
 // positive, SecondWins if negative, Tie if zero or never sampled. It is the
 // tie-breaking heuristic used when a budget-exhausted pair must still be
-// placed in an order.
-func (r *Runner) Leaning(i, j int) Outcome {
-	v := r.eng.View(i, j)
-	switch {
-	case v.Mean > 0:
-		return FirstWins
-	case v.Mean < 0:
-		return SecondWins
-	default:
-		return Tie
-	}
-}
+// placed in an order: the interval rule at zero half-width.
+func (r *Runner) Leaning(i, j int) Outcome { return interval(r.eng.View(i, j).Mean, 0) }
 
 // Workload returns the number of microtasks purchased so far for the pair.
 func (r *Runner) Workload(i, j int) int { return r.eng.View(i, j).N }

@@ -193,11 +193,7 @@ func (r *Runner) storeServe(k [2]int) (Outcome, bool) {
 func (r *Runner) consultLocked(js *storeState, k [2]int) seenEntry {
 	rec, ok := js.store.Lookup(k[0], k[1])
 	if !ok {
-		js.misses.Add(1)
-		if ins := r.ins; ins != nil {
-			ins.StoreMisses.Inc()
-		}
-		return seenEntry{d: storeMiss}
+		return r.storeMiss(js)
 	}
 	stale, decay := js.pol.stale(rec, js.now())
 	if !stale && !r.trustsPolicy(rec.Policy) {
@@ -218,11 +214,7 @@ func (r *Runner) consultLocked(js *storeState, k [2]int) seenEntry {
 		// pair's (deterministic) sample stream already; the recorded bag
 		// subsumes it. Only a live bag that outgrew the record wins.
 		if !r.eng.SeedPair(k[0], k[1], post, true) {
-			js.misses.Add(1)
-			if ins := r.ins; ins != nil {
-				ins.StoreMisses.Inc()
-			}
-			return seenEntry{d: storeMiss}
+			return r.storeMiss(js)
 		}
 		return seenEntry{d: storeHit, o: Outcome(rec.Outcome), pol: rec.Policy}
 	}
@@ -232,11 +224,7 @@ func (r *Runner) consultLocked(js *storeState, k [2]int) seenEntry {
 	// with a reduced purchase instead of re-buying the full workload.
 	dn := int(float64(post.N) * decay)
 	if dn < 2 {
-		js.misses.Add(1)
-		if ins := r.ins; ins != nil {
-			ins.StoreMisses.Inc()
-		}
-		return seenEntry{d: storeMiss}
+		return r.storeMiss(js)
 	}
 	if dn < post.N {
 		if post.N > 1 {
@@ -253,17 +241,23 @@ func (r *Runner) consultLocked(js *storeState, k [2]int) seenEntry {
 	}
 	// A decayed prior is only a prior: it never overwrites live samples.
 	if !r.eng.SeedPair(k[0], k[1], post, false) {
-		js.misses.Add(1)
-		if ins := r.ins; ins != nil {
-			ins.StoreMisses.Inc()
-		}
-		return seenEntry{d: storeMiss}
+		return r.storeMiss(js)
 	}
 	js.stale.Add(1)
 	if ins := r.ins; ins != nil {
 		ins.StoreStale.Inc()
 	}
 	return seenEntry{d: storeStale, verify: true}
+}
+
+// storeMiss counts a consultation that found nothing usable and returns
+// the miss to latch.
+func (r *Runner) storeMiss(js *storeState) seenEntry {
+	js.misses.Add(1)
+	if ins := r.ins; ins != nil {
+		ins.StoreMisses.Inc()
+	}
+	return seenEntry{d: storeMiss}
 }
 
 // trustsPolicy reports whether a stored record's committing policy is

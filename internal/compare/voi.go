@@ -30,12 +30,7 @@ import (
 // VoI is a pure function of the bag view and remaining budget; jstore-
 // seeded posteriors are already folded into the moments it reads.
 type VoI struct {
-	alpha float64
-	z     float64 // normal quantile z_{1−α/2}
-	boot  int     // cold-start workload before the first test
-	floor int     // evidence floor before surrender is allowed
-	min   int     // smallest batch
-	max   int     // largest batch
+	z float64 // normal quantile z_{1−α/2}
 }
 
 // Default VoI shape parameters: a cold start of 8 samples (enough for a
@@ -55,21 +50,14 @@ func NewVoI(alpha float64) *VoI {
 	if alpha <= 0 || alpha >= 1 {
 		panic("compare: NewVoI requires alpha in (0,1)")
 	}
-	return &VoI{
-		alpha: alpha,
-		z:     stats.NormalQuantile(1 - alpha/2),
-		boot:  voiBootstrap,
-		floor: voiFloor,
-		min:   voiMinBatch,
-		max:   voiMaxBatch,
-	}
+	return &VoI{z: stats.NormalQuantile(1 - alpha/2)}
 }
 
 // Name implements Policy.
 func (p *VoI) Name() string { return "voi" }
 
-// HalfWidth implements HalfWidther: the credible-interval half-width of
-// the posterior mean.
+// HalfWidth implements Policy: the credible-interval half-width of the
+// posterior mean.
 func (p *VoI) HalfWidth(v crowd.BagView) float64 {
 	if v.N < 2 {
 		return math.Inf(1)
@@ -82,19 +70,11 @@ func (p *VoI) Test(v crowd.BagView) Outcome {
 	if v.N < 2 {
 		return Tie
 	}
-	half := p.HalfWidth(v)
-	switch {
-	case v.Mean-half > 0:
-		return FirstWins
-	case v.Mean+half < 0:
-		return SecondWins
-	default:
-		return Tie
-	}
+	return interval(v.Mean, p.z*v.SD/math.Sqrt(float64(v.N)))
 }
 
 // Bootstrap implements Policy.
-func (p *VoI) Bootstrap(v crowd.BagView, _ Params) int { return p.boot - v.N }
+func (p *VoI) Bootstrap(v crowd.BagView, _ Params) int { return voiBootstrap - v.N }
 
 // projected returns the total sample size n* at which the credible
 // interval is expected to exclude 0, +Inf when the mean carries no
@@ -113,7 +93,7 @@ func (p *VoI) projected(v crowd.BagView) float64 {
 }
 
 // Next implements Policy: half the projected remaining distance to a
-// verdict, clamped to [min, max] and the budget; surrender (0) when the
+// verdict, clamped to [voiMinBatch, voiMaxBatch] and the budget; surrender (0) when the
 // projection is not fundable from what is left.
 func (p *VoI) Next(v crowd.BagView, left int, _ Params) int {
 	if left <= 0 {
@@ -123,17 +103,17 @@ func (p *VoI) Next(v crowd.BagView, left int, _ Params) int {
 	// The sum is computed in float64: an unlimited budget arrives as
 	// MaxInt, and v.N+left would wrap negative in int arithmetic, turning
 	// "always fundable" into "never fundable".
-	if v.N >= p.floor && need > float64(v.N)+float64(left) {
+	if v.N >= voiFloor && need > float64(v.N)+float64(left) {
 		return 0 // verdict unreachable within budget: stop paying
 	}
-	n := p.min
+	n := voiMinBatch
 	if d := need - float64(v.N); d > 0 {
 		if h := int(math.Ceil(d / 2)); h > n {
 			n = h
 		}
 	}
-	if n > p.max {
-		n = p.max
+	if n > voiMaxBatch {
+		n = voiMaxBatch
 	}
 	if n > left {
 		n = left
