@@ -145,19 +145,22 @@ fuzz:
 
 # Repeat the lazy pair-stream, resilient-adapter, engine identity table,
 # runner purchase accounting, comparison exit-path bookkeeping, bootstrap
-# budget clamp and cross-layer identity tests 20 times each: a test that
+# budget clamp, cross-layer identity and audit-trail (record identity,
+# audit_len per trail, durable trail keeps nothing in memory) tests 20
+# times each: a test that
 # passes once but flakes under repetition (pooled state, map order, a
 # leaked goroutine) fails here.
 stress:
 	$(GO) test ./internal/crowd/ -run 'TestPairStream|TestSeedPairFreshPairAllocs|TestResilient|FuzzResilientBookkeeping|TestSimPlatformAnswersGolden|TestDrawBatchMatchesScalarFallback' -count 20
 	$(GO) test ./internal/compare/ -run 'TestRunnerPurchaseAccounting|TestRunnerExitPathBookkeeping|TestBootstrapClampedToPairBudget' -count 20
-	$(GO) test . -run 'TestPolicyLayerCrossLayerEquivalence' -count 20
+	$(GO) test . -run 'TestPolicyLayerCrossLayerEquivalence|TestAuditTrailIdentity|TestDurableTrailKeepsNothingInMemory' -count 20
+	$(GO) test ./internal/service/ -run 'TestAccountingAuditLenPerTrail' -count 20
 
 # The deterministic chaos suite under the race detector: seeded fault
 # schedules (drops, stragglers, duplicates, corruption, transient and
 # permanent errors) against the resilient platform stack.
 chaos:
-	$(GO) test -race ./internal/crowd/ -run 'TestResilient|TestFaulty|TestEngine(Refunds|Latch|FirstFailure|DrawOne|Reset|CapAndFailure)|TestReplayThenLive|TestReadLog' -count 1
+	$(GO) test -race ./internal/crowd/ -run 'TestResilient|TestFaulty|TestEngine(Refunds|Latch|FirstFailure|DrawOne|CapAndFailure)|TestReplayThenLive|TestReadLog' -count 1
 	$(GO) test -race ./internal/topk/ -run 'TestChaos' -count 1
 	$(GO) test -race . -run 'TestQueryPartial|TestQueryResilience|TestSessionExactSpend|TestSessionConcurrent|TestResumeOracle' -count 1
 

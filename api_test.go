@@ -2,6 +2,7 @@ package crowdtopk
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -252,16 +253,35 @@ func TestQueryPhaseBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Phases
-	if p == nil {
-		t.Fatal("SPR result missing phase breakdown")
+	checkPhases := func(path string, res Result) {
+		t.Helper()
+		p := res.Phases
+		if p == nil {
+			t.Fatalf("%s: SPR result missing phase breakdown", path)
+		}
+		if p.SelectTMC+p.PartitionTMC+p.RankTMC != res.TMC {
+			t.Errorf("%s: phase TMCs %d+%d+%d != total %d",
+				path, p.SelectTMC, p.PartitionTMC, p.RankTMC, res.TMC)
+		}
+		if p.SelectRounds+p.PartitionRounds+p.RankRounds != res.Rounds {
+			t.Errorf("%s: phase rounds do not sum to %d", path, res.Rounds)
+		}
 	}
-	if p.SelectTMC+p.PartitionTMC+p.RankTMC != res.TMC {
-		t.Errorf("phase TMCs %d+%d+%d != total %d",
-			p.SelectTMC, p.PartitionTMC, p.RankTMC, res.TMC)
+	checkPhases("Query", res)
+	// A session query (the path of every topkd query) reports the same
+	// breakdown, attributed to its own per-query meter: the second query
+	// on the session gets a trace of its own.
+	sess, err := NewSession(d, Options{Budget: 300, Seed: 71})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.SelectRounds+p.PartitionRounds+p.RankRounds != res.Rounds {
-		t.Errorf("phase rounds do not sum to %d", res.Rounds)
+	defer sess.Close()
+	for _, k := range []int{6, 4} {
+		sres, err := sess.TopK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPhases(fmt.Sprintf("Session.TopK(%d)", k), sres)
 	}
 	// Non-SPR algorithms report no phases.
 	res2, err := Query(d, Options{K: 6, Algorithm: HeapSort, Budget: 300, Seed: 71})

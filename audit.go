@@ -33,8 +33,9 @@ const (
 // directory's writer lock; detect with errors.Is.
 var ErrAuditLogLocked = auditlog.ErrLogLocked
 
-// TaskRecordSink receives each logged batch of microtask records
-// synchronously in log order (see crowd.RecordSink for the contract).
+// TaskRecordSink is a session's audit trail: it receives each batch of
+// microtask records synchronously in purchase order (see
+// crowd.RecordSink for the contract).
 type TaskRecordSink = crowd.RecordSink
 
 // AuditVerifyReport is the outcome of auditing an audit-log directory:
@@ -67,9 +68,12 @@ func NewAuditResumeSink(log *AuditLog, prior []TaskRecord) TaskRecordSink {
 	return auditlog.NewResumeSink(log, prior)
 }
 
-// SetAuditSink streams every microtask the session purchases into sink,
-// synchronously at log time (enabling the in-memory audit log as a side
-// effect, so AuditLog() and TMC accounting are unaffected). Use an
+// SetAuditSink makes sink the session's audit trail: every microtask the
+// session purchases from now on is streamed into it, synchronously at
+// purchase time. It replaces the trail attached before — an in-memory
+// one from EnableAuditLog included — so no record is also kept in
+// memory and AuditLog reads nil; AuditLen keeps counting. Use an
 // *AuditLog as the sink for durable logging, or NewAuditResumeSink when
-// the session was resumed from that log's own history.
+// the session was resumed from that log's own history. nil detaches the
+// trail.
 func (s *Session) SetAuditSink(sink TaskRecordSink) { s.runner.Engine().SetLogSink(sink) }

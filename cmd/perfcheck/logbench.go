@@ -51,8 +51,9 @@ func runLogBenchOnce(rep *abReport, dir string, sync crowdtopk.AuditSyncPolicy) 
 		return crowdtopk.Result{}, 0, err
 	}
 	defer sess.Close()
-	// topkd keeps the in-memory audit log on whether or not -audit-dir is
-	// set, so every mode pays it: the delta isolates persistence.
+	// Each mode mirrors topkd: "off" keeps the in-memory trail topkd
+	// keeps without -audit-dir, and a durable mode's SetAuditSink replaces
+	// it, as topkd attaches only the durable trail with -audit-dir.
 	sess.EnableAuditLog()
 	var alog *crowdtopk.AuditLog
 	if sync != "" {

@@ -248,16 +248,16 @@ func main() {
 		fatal(1, err)
 	}
 	sess.SetLogger(lg)
-	sess.EnableAuditLog()
-	if alog != nil {
-		if resumed != nil {
-			// The resumed engine re-logs replayed draws; the sink skips each
-			// pair's already-persisted prefix so the directory grows by
-			// exactly the live purchases.
-			sess.SetAuditSink(crowdtopk.NewAuditResumeSink(alog, prior))
-		} else {
-			sess.SetAuditSink(alog)
-		}
+	switch {
+	case alog == nil:
+		sess.EnableAuditLog()
+	case resumed != nil:
+		// The resumed engine re-logs replayed draws; the sink skips each
+		// pair's already-persisted prefix so the directory grows by
+		// exactly the live purchases.
+		sess.SetAuditSink(crowdtopk.NewAuditResumeSink(alog, prior))
+	default:
+		sess.SetAuditSink(alog)
 	}
 
 	cfg := service.Config{

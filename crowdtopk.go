@@ -62,14 +62,23 @@ func (e *PartialResultError) Error() string {
 func (e *PartialResultError) Unwrap() error { return e.Err }
 
 // queryResult assembles a finished query's Result — the one builder
-// behind Query and Session.StartTopK. A telemetry bundle may serve
-// concurrent queries, so the registry diff in stats may fold their
+// behind Query and Session.StartTopK. An SPR query's phase breakdown
+// comes from the trace newAlgorithm attached. A telemetry bundle may
+// serve concurrent queries, so the registry diff in stats may fold their
 // traffic into this query's window; its TMC and Rounds are overwritten
 // with this query's exact per-query meter. A degraded run's outcome
 // comes back with a *PartialResultError carrying the oracle's failure
 // log when it keeps one.
-func queryResult(res topk.Result, stats *QueryStats, phases *PhaseBreakdown, o Oracle) (Result, error) {
-	out := Result{TopK: res.TopK, TMC: res.TMC, Rounds: res.Rounds, Phases: phases, Stats: stats}
+func queryResult(res topk.Result, stats *QueryStats, alg topk.Algorithm, o Oracle) (Result, error) {
+	out := Result{TopK: res.TopK, TMC: res.TMC, Rounds: res.Rounds, Stats: stats}
+	if spr, ok := alg.(*topk.SPR); ok {
+		tr := spr.Trace
+		out.Phases = &PhaseBreakdown{
+			SelectTMC: tr.Select.TMC, PartitionTMC: tr.Partition.TMC, RankTMC: tr.Rank.TMC,
+			SelectRounds: tr.Select.Rounds, PartitionRounds: tr.Partition.Rounds, RankRounds: tr.Rank.Rounds,
+			RefChanges: tr.RefChanges,
+		}
+	}
 	if stats != nil {
 		stats.TMC = res.TMC
 		stats.Rounds = res.Rounds
@@ -188,29 +197,12 @@ func Query(o Oracle, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var trace *topk.PhaseTrace
-	if spr, ok := alg.(*topk.SPR); ok {
-		trace = &topk.PhaseTrace{}
-		spr.Trace = trace
-	}
 	before := opts.Telemetry.snapshot()
 	start := time.Now()
 	res := topk.Run(alg, r, opts.K)
 	r.CommitConclusions()
 	stats := opts.Telemetry.statsSince(before, time.Since(start))
-	var phases *PhaseBreakdown
-	if trace != nil {
-		phases = &PhaseBreakdown{
-			SelectTMC:       trace.Select.TMC,
-			PartitionTMC:    trace.Partition.TMC,
-			RankTMC:         trace.Rank.TMC,
-			SelectRounds:    trace.Select.Rounds,
-			PartitionRounds: trace.Partition.Rounds,
-			RankRounds:      trace.Rank.Rounds,
-			RefChanges:      trace.RefChanges,
-		}
-	}
-	return queryResult(res, stats, phases, r.Engine().Oracle())
+	return queryResult(res, stats, alg, r.Engine().Oracle())
 }
 
 // Judge runs one confidence-aware comparison COMP(o_i, o_j): it keeps
@@ -295,6 +287,7 @@ func newAlgorithm(opts Options) (topk.Algorithm, error) {
 			C:             opts.SweetSpot,
 			MaxRefChanges: opts.MaxRefChanges,
 			PriorScores:   opts.PriorScores,
+			Trace:         &topk.PhaseTrace{},
 		}, nil
 	case TourTree:
 		return topk.TourTree{}, nil

@@ -360,9 +360,6 @@ func (l *Log) Err() error {
 	return l.failErr
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Appended returns the records accepted by Append this session.
 func (l *Log) Appended() int64 { return l.appended.Load() }
 

@@ -21,7 +21,6 @@ type ResumeSink struct {
 	skip    map[[2]int]int64
 	dst     *Log
 	skipped int64
-	passed  int64
 }
 
 // NewResumeSink wraps log for a session resumed from prior (the records
@@ -53,7 +52,6 @@ func (s *ResumeSink) Record(recs []crowd.Record) {
 			s.skipped++
 			continue
 		}
-		s.passed++
 		pass = append(pass, r)
 	}
 	s.mu.Unlock()
@@ -63,13 +61,8 @@ func (s *ResumeSink) Record(recs []crowd.Record) {
 }
 
 // Skipped returns how many replayed records were suppressed so far.
-func (s *ResumeSink) Skipped() int64 { return s.counter(&s.skipped) }
-
-// Passed returns how many live records were forwarded so far.
-func (s *ResumeSink) Passed() int64 { return s.counter(&s.passed) }
-
-func (s *ResumeSink) counter(p *int64) int64 {
+func (s *ResumeSink) Skipped() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return *p
+	return s.skipped
 }

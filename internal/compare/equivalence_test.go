@@ -82,9 +82,10 @@ func TestRunnerMatchesLegacyReferenceLoop(t *testing.T) {
 	for name, mk := range equivalenceEstimators {
 		t.Run(name, func(t *testing.T) {
 			refEng := crowd.NewEngine(gaussItems{nItems, 0.6}, rand.New(rand.NewSource(97)))
-			refEng.EnableLog()
+			refLog, newLog := new(crowd.MemLog), new(crowd.MemLog)
+			refEng.SetLogSink(refLog)
 			newEng := crowd.NewEngine(gaussItems{nItems, 0.6}, rand.New(rand.NewSource(97)))
-			newEng.EnableLog()
+			newEng.SetLogSink(newLog)
 			r := NewRunner(newEng, mk(alpha), params)
 
 			for i := 0; i < nItems; i++ {
@@ -105,8 +106,8 @@ func TestRunnerMatchesLegacyReferenceLoop(t *testing.T) {
 			if w := refEng.TMC(); w == 0 {
 				t.Fatal("reference run spent nothing; the scenario is vacuous")
 			}
-			if !reflect.DeepEqual(newEng.Log(), refEng.Log()) {
-				t.Errorf("audit logs diverge: %d vs %d records", len(newEng.Log()), len(refEng.Log()))
+			if !reflect.DeepEqual(newLog.Log(), refLog.Log()) {
+				t.Errorf("audit logs diverge: %d vs %d records", len(newLog.Log()), len(refLog.Log()))
 			}
 		})
 	}
@@ -119,9 +120,10 @@ func TestRunnerMatchesLegacyReferenceLoop(t *testing.T) {
 func TestRunnerMatchesLegacyReferenceLoopUnlimited(t *testing.T) {
 	params := Params{B: 0, I: 30, Step: 30}
 	refEng := crowd.NewEngine(gaussItems{3, 0.3}, rand.New(rand.NewSource(98)))
-	refEng.EnableLog()
+	refLog, newLog := new(crowd.MemLog), new(crowd.MemLog)
+	refEng.SetLogSink(refLog)
 	newEng := crowd.NewEngine(gaussItems{3, 0.3}, rand.New(rand.NewSource(98)))
-	newEng.EnableLog()
+	newEng.SetLogSink(newLog)
 	r := NewRunner(newEng, NewStudent(0.05), params)
 	for i := 0; i < 2; i++ {
 		want := legacyCompare(refEng, NewStudent(0.05), params, i, i+1)
@@ -132,7 +134,7 @@ func TestRunnerMatchesLegacyReferenceLoopUnlimited(t *testing.T) {
 	if g, w := newEng.TMC(), refEng.TMC(); g != w {
 		t.Errorf("TMC = %d, legacy %d", g, w)
 	}
-	if !reflect.DeepEqual(newEng.Log(), refEng.Log()) {
+	if !reflect.DeepEqual(newLog.Log(), refLog.Log()) {
 		t.Error("audit logs diverge under unlimited budget")
 	}
 }

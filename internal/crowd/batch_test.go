@@ -48,7 +48,7 @@ func (o noisyOracle) Preferences(rng *rand.Rand, i, j int, dst []float64) {
 func purchaseScript(e *Engine) string {
 	reg := obs.NewRegistry()
 	e.SetInstruments(NewEngineInstruments(reg))
-	e.EnableLog()
+	enableLog(e)
 	var b strings.Builder
 	drawN := func(i, j, n int) {
 		v, got := e.DrawN(i, j, n)
@@ -79,7 +79,7 @@ func purchaseScript(e *Engine) string {
 	for _, m := range []string{obs.MSamples, obs.MTMC, obs.MRefunds, obs.MCapDenied, obs.MDrawBatches} {
 		fmt.Fprintf(&b, "%s %d\n", m, snap.Counter(m))
 	}
-	for _, r := range e.Log() {
+	for _, r := range logOf(e) {
 		fmt.Fprintf(&b, "%+v\n", r)
 	}
 	return b.String()
@@ -100,7 +100,7 @@ func TestDrawBatchMatchesScalarFallback(t *testing.T) {
 	// batchLog is the batch-kernel run's audit log, which Replay serves.
 	batchEngine := NewEngine(base, rand.New(rand.NewSource(seed)))
 	purchaseScript(batchEngine)
-	batchLog := batchEngine.Log()
+	batchLog := logOf(batchEngine)
 	// resumeLog is a checkpoint covering part of two pairs' demand, the
 	// second in the flipped orientation, for the ReplayThenLive shapes.
 	var resumeLog []Record

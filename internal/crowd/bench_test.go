@@ -26,7 +26,7 @@ func BenchmarkEngineDrawOne(b *testing.B) {
 
 func BenchmarkEngineDrawLogged(b *testing.B) {
 	e := newTestEngine(100, 3)
-	e.EnableLog()
+	enableLog(e)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.DrawOne(i%99, 99)

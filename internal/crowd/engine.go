@@ -29,7 +29,7 @@ const numShards = 64
 // and never touch the mutex. Snapshots are immutable once published.
 //
 // held and staged implement HoldLog: while held is positive the pair's
-// audit records collect in staged instead of reaching the log. one is
+// audit records collect in staged instead of reaching the trail. one is
 // DrawOne's answer slot: it lives on the pair, not the stack, because a
 // buffer passed through the kernel interface escapes. All three are
 // guarded by mu.
@@ -76,8 +76,8 @@ var drawBufPool = sync.Pool{
 // snapshot, so observers (stopping-rule tests, leanings, workload probes)
 // never contend with purchases. Writes batch: a Draw of n microtasks costs
 // one call of the oracle's purchase kernel (resolved once, by kernelOf),
-// one pooled scratch buffer, and — when logging — one audit-log flush,
-// instead of n of each.
+// one pooled scratch buffer, and — with a trail attached — one hand-off
+// to the audit trail, instead of n of each.
 //
 // Concurrency contract for collaborators: the Oracle (and Grader) must be
 // safe for concurrent calls when the engine is driven from several
@@ -113,10 +113,14 @@ type Engine struct {
 	failMu    sync.Mutex
 	failCause error
 
-	logging atomic.Bool
-	logMu   sync.Mutex
-	log     []Record
-	sink    RecordSink
+	// The audit trail: sink is the one destination of purchase records
+	// (nil: none), logMu serializes deliveries and guards logBuf, the
+	// reused buffer each batch's records are built in, and logged counts
+	// the records handed to sink.
+	logMu  sync.Mutex
+	sink   atomic.Pointer[RecordSink]
+	logBuf []Record
+	logged atomic.Int64
 
 	// ins is the pre-resolved metric bundle; nil when telemetry is off.
 	// Hot paths pay one nil check, then plain atomic adds.
@@ -385,40 +389,43 @@ func (e *Engine) reserve(n int) int {
 	}
 }
 
-// flushLog appends one pair's batch of samples to the audit log under a
-// single logMu acquisition — the per-sample lock round trip the scalar
-// path used to pay is gone — or, while the pair is held (HoldLog), to
-// the pair's staged records. Per-pair record order is preserved because
-// callers still hold the pair mutex, which serializes batches of one pair.
+// flushLog hands one pair's batch of samples to the audit trail or,
+// while the pair is held (HoldLog), adds them to the pair's staged
+// records. Per-pair record order is preserved because callers hold the
+// pair mutex, which serializes batches of one pair.
 func (e *Engine) flushLog(ps *pairState, k pairKey, vs []float64) {
-	round := e.rounds.Load()
 	if ps.held > 0 {
+		round := e.rounds.Load()
 		for _, v := range vs {
 			ps.staged = append(ps.staged, Record{Round: round, I: k.lo, J: k.hi, Value: v})
 		}
 		return
 	}
+	e.logBatch(k.lo, k.hi, vs)
+}
+
+// logBatch builds the records of one batch of answers for (i, j) — j is
+// -1 for grades — in the reused buffer and hands them to the trail, under
+// one logMu acquisition.
+func (e *Engine) logBatch(i, j int, vs []float64) {
+	round := e.rounds.Load()
 	e.logMu.Lock()
-	n0 := len(e.log)
+	recs := e.logBuf[:0]
 	for _, v := range vs {
-		e.log = append(e.log, Record{Round: round, I: k.lo, J: k.hi, Value: v})
+		recs = append(recs, Record{Round: round, I: i, J: j, Value: v})
 	}
-	if e.sink != nil {
-		e.sink.Record(e.log[n0:])
-	}
+	e.logBuf = recs
+	e.handLocked(recs)
 	e.logMu.Unlock()
 }
 
-// appendRecords appends a batch of records to the audit log and streams
-// it to the sink under one logMu acquisition.
-func (e *Engine) appendRecords(recs []Record) {
-	e.logMu.Lock()
-	n0 := len(e.log)
-	e.log = append(e.log, recs...)
-	if e.sink != nil {
-		e.sink.Record(e.log[n0:])
+// handLocked hands recs to the trail, if one is attached, and counts
+// them. Callers must hold logMu.
+func (e *Engine) handLocked(recs []Record) {
+	if s := e.sink.Load(); s != nil {
+		(*s).Record(recs)
+		e.logged.Add(int64(len(recs)))
 	}
-	e.logMu.Unlock()
 }
 
 // Draw purchases up to n more preference microtasks for the pair (i, j) —
@@ -514,7 +521,7 @@ func (e *Engine) admit(n int) int {
 // up to len(dst) microtasks, fills the granted prefix of dst — canonical
 // (lo, hi) orientation — through the kernel, refunds every slot the
 // kernel left empty, and books the delivered answers into the pair's
-// bag, the audit log, the counters, the published snapshot and the
+// bag, the audit trail, the counters, the published snapshot and the
 // instruments. It returns how many answers were delivered and charged.
 // Callers must hold ps.mu.
 func (e *Engine) buyLocked(ps *pairState, k pairKey, dst []float64) int {
@@ -540,7 +547,7 @@ func (e *Engine) buyLocked(ps *pairState, k pairKey, dst []float64) int {
 	}
 	if filled > 0 {
 		ps.bag.addAll(got)
-		if e.logging.Load() {
+		if e.sink.Load() != nil {
 			e.flushLog(ps, k, got)
 		}
 		e.pairCmp.Add(int64(filled))
@@ -656,8 +663,8 @@ func (e *Engine) Grade(i int) (float64, bool) {
 	}
 	v := g.Grade(rng, i)
 	e.graded.Add(1)
-	if e.logging.Load() {
-		e.appendRecords([]Record{{Round: e.rounds.Load(), I: i, J: -1, Value: v}})
+	if e.sink.Load() != nil {
+		e.logBatch(i, -1, []float64{v})
 	}
 	if ins := e.ins; ins != nil {
 		ins.Graded.Inc()
@@ -702,29 +709,4 @@ func (e *Engine) PairsTouched() int {
 		n += e.shards[s].count()
 	}
 	return n
-}
-
-// Reset discards all purchased samples, zeroes the cost and latency
-// counters, and clears the audit log, keeping the oracle, the seed and
-// the control random source. Per-pair sample streams restart from the
-// engine seed, so a reset engine replays the same samples for the same
-// draws. Reset must not race with in-flight purchases.
-func (e *Engine) Reset() {
-	for s := range e.shards {
-		e.shards[s].reset()
-	}
-	e.gradeMu.Lock()
-	e.gradeRng = make(map[int]*rand.Rand)
-	e.gradeMu.Unlock()
-	e.tmc.Store(0)
-	e.rounds.Store(0)
-	e.pairCmp.Store(0)
-	e.graded.Store(0)
-	e.logMu.Lock()
-	e.log = nil
-	e.logMu.Unlock()
-	e.failed.Store(false)
-	e.failMu.Lock()
-	e.failCause = nil
-	e.failMu.Unlock()
 }

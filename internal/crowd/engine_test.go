@@ -127,20 +127,6 @@ func TestEngineBinaryViewDropsZeros(t *testing.T) {
 	}
 }
 
-func TestEngineReset(t *testing.T) {
-	e := newTestEngine(5, 6)
-	e.Draw(0, 1, 50)
-	e.Tick(2)
-	e.Grade(3)
-	e.Reset()
-	if e.TMC() != 0 || e.Rounds() != 0 || e.PairsTouched() != 0 || e.GradedTasks() != 0 {
-		t.Errorf("Reset left counters: tmc=%d rounds=%d pairs=%d", e.TMC(), e.Rounds(), e.PairsTouched())
-	}
-	if v := e.View(0, 1); v.N != 0 {
-		t.Errorf("Reset left bag with N=%d", v.N)
-	}
-}
-
 func TestEngineDeterminism(t *testing.T) {
 	run := func() (float64, int64) {
 		e := newTestEngine(20, 42)

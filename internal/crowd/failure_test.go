@@ -45,7 +45,7 @@ func (b *brittleOracle) PreferencesPartial(_ *rand.Rand, i, j int, dst []float64
 
 func TestEngineRefundsUndeliveredAnswers(t *testing.T) {
 	e := NewEngine(&brittleOracle{n: 5, supply: 20}, rand.New(rand.NewSource(1)))
-	e.EnableLog()
+	enableLog(e)
 	v := e.Draw(0, 1, 50)
 	if v.N != 20 {
 		t.Fatalf("bag has %d samples, want the 20 delivered", v.N)
@@ -53,7 +53,7 @@ func TestEngineRefundsUndeliveredAnswers(t *testing.T) {
 	if e.TMC() != 20 {
 		t.Errorf("TMC = %d, want 20 — undelivered slots must be refunded", e.TMC())
 	}
-	if got := len(e.Log()); got != 20 {
+	if got := len(logOf(e)); got != 20 {
 		t.Errorf("audit log has %d records, want 20: every charged task must be logged", got)
 	}
 	if err := e.Err(); !errors.Is(err, errMarketDown) || !errors.Is(err, ErrPlatformFailure) {
@@ -105,23 +105,6 @@ func TestEngineDrawOneRefundsOnEmptyDelivery(t *testing.T) {
 	}
 	if e.Err() == nil {
 		t.Error("failure not latched")
-	}
-}
-
-func TestEngineResetClearsFailureLatch(t *testing.T) {
-	o := &brittleOracle{n: 5, supply: 5}
-	e := NewEngine(o, rand.New(rand.NewSource(5)))
-	e.Draw(0, 1, 10)
-	if e.Err() == nil {
-		t.Fatal("failure not latched")
-	}
-	o.supply = 100 // the market recovered
-	e.Reset()
-	if e.Err() != nil {
-		t.Fatalf("Reset kept the failure: %v", e.Err())
-	}
-	if v := e.Draw(0, 1, 10); v.N != 10 {
-		t.Errorf("post-reset draw granted %d of 10", v.N)
 	}
 }
 

@@ -81,7 +81,6 @@ type FaultyPlatform struct {
 	perPair  map[pairKey]int64
 	plans    map[int]*faultPlan
 	posts    int
-	served   int64
 	injected int64
 }
 
@@ -191,7 +190,6 @@ func (fp *FaultyPlatform) CollectContext(ctx context.Context, batch int) ([]Answ
 	delete(fp.plans, batch)
 	fp.mu.Unlock()
 	if plan == nil {
-		fp.serve(len(answers))
 		return answers, nil
 	}
 	if plan.collectError {
@@ -199,9 +197,7 @@ func (fp *FaultyPlatform) CollectContext(ctx context.Context, batch int) ([]Answ
 		// The answers are gone with the error; a retry re-posts.
 		return nil, fmt.Errorf("crowd: transient collect error: %w", ErrInjectedFault)
 	}
-	out := fp.corrupt(plan, answers)
-	fp.serve(len(out))
-	return out, nil
+	return fp.corrupt(plan, answers), nil
 }
 
 // corrupt applies the per-answer faults of the plan, in answer order, so
@@ -237,15 +233,6 @@ func (fp *FaultyPlatform) corrupt(plan *faultPlan, answers []Answer) []Answer {
 	return out
 }
 
-// Served returns how many answers the faulty platform delivered upward
-// (after drops and including duplicates) — the basis of double-spend
-// accounting checks.
-func (fp *FaultyPlatform) Served() int64 {
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	return fp.served
-}
-
 // Injected returns how many individual faults the schedule fired.
 func (fp *FaultyPlatform) Injected() int64 {
 	fp.mu.Lock()
@@ -267,12 +254,6 @@ func (fp *FaultyPlatform) Close() error {
 		return c.Close()
 	}
 	return nil
-}
-
-func (fp *FaultyPlatform) serve(n int) {
-	fp.mu.Lock()
-	fp.served += int64(n)
-	fp.mu.Unlock()
 }
 
 func (fp *FaultyPlatform) count() {

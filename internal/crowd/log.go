@@ -31,34 +31,45 @@ type Record struct {
 // microtask.
 func (r Record) IsGraded() bool { return r.J < 0 }
 
-// EnableLog switches on microtask recording. Recording costs one slice
-// append per microtask; it is off by default.
-func (e *Engine) EnableLog() { e.logging.Store(true) }
-
-// RecordSink receives each freshly logged batch of microtask records,
-// synchronously, in log order. The slice is only valid for the duration
-// of the call — implementations that retain records must copy. Calls are
-// serialized by the engine (made under its log mutex), so a sink needs
-// no locking of its own against the engine, and records of one pair
-// always arrive in purchase order. A slow sink applies backpressure to
-// the purchase path; persistent sinks should buffer (see
-// internal/auditlog, whose Log blocks only when its bounded commit
-// queue is full).
+// RecordSink is an engine's audit trail: it receives each batch of
+// purchase records, synchronously, in purchase order. The slice is only
+// valid for the duration of the call — implementations that retain
+// records must copy. Calls are serialized by the engine (made under its
+// log mutex), so a sink needs no locking of its own against the engine,
+// and records of one pair always arrive in purchase order. A slow sink
+// applies backpressure to the purchase path; persistent sinks should
+// buffer (see internal/auditlog, whose Log blocks only when its bounded
+// commit queue is full).
 type RecordSink interface {
 	Record(recs []Record)
 }
 
-// SetLogSink streams every logged record to sink (enabling logging as a
-// side effect). Pass nil to detach. The in-memory log keeps accumulating
-// regardless, so TMC == len(Log()) continues to hold.
+// SetLogSink makes sink the engine's one audit trail, replacing the one
+// attached before; nil detaches it. The engine keeps no records itself:
+// MemLog is the trail that keeps them in memory. Once SetLogSink returns,
+// no batch is delivered to the replaced trail any more.
 func (e *Engine) SetLogSink(sink RecordSink) {
 	e.logMu.Lock()
-	e.sink = sink
-	e.logMu.Unlock()
-	if sink != nil {
-		e.logging.Store(true)
+	if sink == nil {
+		e.sink.Store(nil)
+	} else {
+		e.sink.Store(&sink)
 	}
+	e.logMu.Unlock()
 }
+
+// LogSink returns the attached audit trail, or nil.
+func (e *Engine) LogSink() RecordSink {
+	if s := e.sink.Load(); s != nil {
+		return *s
+	}
+	return nil
+}
+
+// Logged returns how many records the engine has handed to its audit
+// trails. Held records (HoldLog) count once released, so at quiescence
+// Logged equals the TMC bought while a trail was attached.
+func (e *Engine) Logged() int64 { return e.logged.Load() }
 
 // HeldLog is a set of pairs whose audit records are held back by
 // HoldLog until Release.
@@ -69,13 +80,13 @@ type HeldLog struct {
 
 // HoldLog holds back the audit records of n pairs (pair returns the
 // idx-th): purchases of a held pair — by any caller — collect on the pair
-// instead of reaching the log and the sink, until Release appends them
-// pair by pair in index order. A deterministic comparison wave holds its
-// chains' pairs across the wave, so records purchased concurrently reach
-// the log in chain order, exactly as a sequential wave logs them. HoldLog
-// returns nil (a no-op holder) while logging is off.
+// instead of reaching the trail, until Release hands them over pair by
+// pair in index order. A deterministic comparison wave holds its chains'
+// pairs across the wave, so records purchased concurrently reach the
+// trail in chain order, exactly as a sequential wave logs them. HoldLog
+// returns nil (a no-op holder) while no trail is attached.
 func (e *Engine) HoldLog(n int, pair func(idx int) (i, j int)) *HeldLog {
-	if !e.logging.Load() || n == 0 {
+	if e.sink.Load() == nil || n == 0 {
 		return nil
 	}
 	h := &HeldLog{e: e, pairs: make([]*pairState, n)}
@@ -89,7 +100,7 @@ func (e *Engine) HoldLog(n int, pair func(idx int) (i, j int)) *HeldLog {
 	return h
 }
 
-// Release ends the hold and appends each pair's held records to the log,
+// Release ends the hold and hands each pair's held records to the trail,
 // in HoldLog's pair order. The flush happens under the pair mutex, so a
 // later purchase of the pair cannot overtake its held records. Release
 // on a nil holder does nothing.
@@ -102,31 +113,46 @@ func (h *HeldLog) Release() {
 		ps.held--
 		if recs := ps.staged; len(recs) > 0 && ps.held == 0 {
 			ps.staged = nil
-			h.e.appendRecords(recs)
+			h.e.logMu.Lock()
+			h.e.handLocked(recs)
+			h.e.logMu.Unlock()
 		}
 		ps.mu.Unlock()
 	}
 }
 
-// Log returns the recorded microtasks in purchase order. The slice is
-// shared; callers must not modify it, and must not call Log while
-// purchases are in flight. Records of one pair are always in purchase
-// order, which is all replay needs. Across pairs, a deterministic wave
-// logs in chain order at any parallelism (HoldLog); elsewhere concurrent
-// purchases log in the order they actually interleave.
-func (e *Engine) Log() []Record {
-	e.logMu.Lock()
-	defer e.logMu.Unlock()
-	return e.log
+// MemLog is the in-memory audit trail: a RecordSink that keeps a copy of
+// every record it receives. Its methods are safe on a nil *MemLog, which
+// reads as an empty trail.
+type MemLog struct {
+	mu   sync.Mutex
+	recs []Record
 }
 
-// WriteLog serializes the audit log as a JSON array.
-func (e *Engine) WriteLog(w io.Writer) error {
-	e.logMu.Lock()
-	defer e.logMu.Unlock()
-	enc := json.NewEncoder(w)
-	return enc.Encode(e.log)
+// Record implements RecordSink.
+func (m *MemLog) Record(recs []Record) {
+	m.mu.Lock()
+	m.recs = append(m.recs, recs...)
+	m.mu.Unlock()
 }
+
+// Log returns the recorded microtasks in purchase order. The slice is
+// shared; callers must not modify it. Records of one pair are always in
+// purchase order, which is all replay needs. Across pairs, a
+// deterministic wave logs in chain order at any parallelism (HoldLog);
+// elsewhere concurrent purchases log in the order they actually
+// interleave.
+func (m *MemLog) Log() []Record {
+	if m == nil {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.recs
+}
+
+// WriteLog serializes the trail as a JSON array.
+func (m *MemLog) WriteLog(w io.Writer) error { return json.NewEncoder(w).Encode(m.Log()) }
 
 // ReadLog parses a JSON audit log previously written by WriteLog. The log
 // is untrusted input — it may have been truncated by a crash or corrupted

@@ -7,22 +7,35 @@ import (
 	"testing"
 )
 
+// enableLog attaches a fresh in-memory trail to e and returns it.
+func enableLog(e *Engine) *MemLog {
+	m := new(MemLog)
+	e.SetLogSink(m)
+	return m
+}
+
+// logOf returns the records of e's in-memory trail (nil without one).
+func logOf(e *Engine) []Record {
+	m, _ := e.LogSink().(*MemLog)
+	return m.Log()
+}
+
 func TestLogDisabledByDefault(t *testing.T) {
 	e := newTestEngine(5, 41)
 	e.Draw(0, 1, 10)
-	if got := e.Log(); len(got) != 0 {
-		t.Errorf("log has %d records without EnableLog", len(got))
+	if got := logOf(e); len(got) != 0 {
+		t.Errorf("log has %d records without a trail", len(got))
 	}
 }
 
 func TestLogRecordsEveryMicrotask(t *testing.T) {
 	e := newTestEngine(5, 42)
-	e.EnableLog()
+	enableLog(e)
 	e.Draw(0, 1, 10)
 	e.Tick(1)
 	e.DrawOne(2, 1)
 	e.Grade(3)
-	log := e.Log()
+	log := logOf(e)
 	if len(log) != 12 {
 		t.Fatalf("log has %d records, want 12", len(log))
 	}
@@ -47,24 +60,24 @@ func TestLogRecordsEveryMicrotask(t *testing.T) {
 
 func TestLogRoundTripJSON(t *testing.T) {
 	e := newTestEngine(6, 43)
-	e.EnableLog()
+	enableLog(e)
 	e.Draw(0, 5, 7)
 	e.Grade(2)
 
 	var buf bytes.Buffer
-	if err := e.WriteLog(&buf); err != nil {
+	if err := e.LogSink().(*MemLog).WriteLog(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(e.Log()) {
-		t.Fatalf("round trip changed length: %d vs %d", len(back), len(e.Log()))
+	if len(back) != len(logOf(e)) {
+		t.Fatalf("round trip changed length: %d vs %d", len(back), len(logOf(e)))
 	}
 	for i := range back {
-		if back[i] != e.Log()[i] {
-			t.Fatalf("record %d changed: %+v vs %+v", i, back[i], e.Log()[i])
+		if back[i] != logOf(e)[i] {
+			t.Fatalf("record %d changed: %+v vs %+v", i, back[i], logOf(e)[i])
 		}
 	}
 }
@@ -123,11 +136,11 @@ func TestReplayServesRecordedAnswers(t *testing.T) {
 	// Record a run, then replay it: the same draws yield the same bags at
 	// zero oracle involvement.
 	e := newTestEngine(6, 44)
-	e.EnableLog()
+	enableLog(e)
 	v1 := e.Draw(2, 4, 50)
 	g1, _ := e.Grade(1)
 
-	rp := NewReplay(6, e.Log())
+	rp := NewReplay(6, logOf(e))
 	if rp.NumItems() != 6 {
 		t.Fatalf("NumItems = %d", rp.NumItems())
 	}
@@ -149,9 +162,9 @@ func TestReplayServesRecordedAnswers(t *testing.T) {
 
 func TestReplayOrientation(t *testing.T) {
 	e := newTestEngine(4, 45)
-	e.EnableLog()
+	enableLog(e)
 	e.Draw(3, 0, 20) // drawn in flipped orientation
-	rp := NewReplay(4, e.Log())
+	rp := NewReplay(4, logOf(e))
 	e2 := NewEngine(rp, rand.New(rand.NewSource(2)))
 	v := e2.Draw(0, 3, 20) // replayed in canonical orientation
 	if v.Mean != e.View(0, 3).Mean {
@@ -161,9 +174,9 @@ func TestReplayOrientation(t *testing.T) {
 
 func TestReplayPanicsWhenExhausted(t *testing.T) {
 	e := newTestEngine(4, 46)
-	e.EnableLog()
+	enableLog(e)
 	e.Draw(0, 1, 3)
-	rp := NewReplay(4, e.Log())
+	rp := NewReplay(4, logOf(e))
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 3; i++ {
 		rp.Preference(rng, 0, 1)
@@ -179,14 +192,4 @@ func TestReplayPanicsWhenExhausted(t *testing.T) {
 	assertPanics("exhausted pair", func() { rp.Preference(rng, 0, 1) })
 	assertPanics("unknown pair", func() { rp.Preference(rng, 2, 3) })
 	assertPanics("unknown grade", func() { rp.Grade(rng, 0) })
-}
-
-func TestResetClearsLog(t *testing.T) {
-	e := newTestEngine(4, 47)
-	e.EnableLog()
-	e.Draw(0, 1, 5)
-	e.Reset()
-	if len(e.Log()) != 0 {
-		t.Error("Reset kept the log")
-	}
 }

@@ -90,7 +90,7 @@ func TestConcurrentEngineStress(t *testing.T) {
 		ops     = 200
 	)
 	e := newTestEngine(n, 67)
-	e.EnableLog()
+	enableLog(e)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -126,8 +126,8 @@ func TestConcurrentEngineStress(t *testing.T) {
 	if got := e.PairwiseTasks() + e.GradedTasks(); got != e.TMC() {
 		t.Errorf("PairwiseTasks+GradedTasks = %d != TMC %d", got, e.TMC())
 	}
-	if int64(len(e.Log())) != e.TMC() {
-		t.Errorf("audit log has %d records, TMC is %d", len(e.Log()), e.TMC())
+	if int64(len(logOf(e))) != e.TMC() {
+		t.Errorf("audit log has %d records, TMC is %d", len(logOf(e)), e.TMC())
 	}
 }
 

@@ -10,12 +10,12 @@ func TestReplayThenLiveFullLogSpendsNothing(t *testing.T) {
 	// covered by the checkpoint, so zero microtasks reach the live oracle
 	// and the resumed bags match the originals exactly.
 	e := newTestEngine(8, 50)
-	e.EnableLog()
+	enableLog(e)
 	v1 := e.Draw(1, 4, 60)
 	w1 := e.Draw(5, 2, 25)
 	g1, _ := e.Grade(3)
 
-	rl := NewReplayThenLive(e.Log(), gaussOracle{n: 8, sigma: 0.2})
+	rl := NewReplayThenLive(logOf(e), gaussOracle{n: 8, sigma: 0.2})
 	e2 := NewEngine(rl, rand.New(rand.NewSource(99)))
 	v2 := e2.Draw(1, 4, 60)
 	w2 := e2.Draw(5, 2, 25)
@@ -34,11 +34,11 @@ func TestReplayThenLiveFullLogSpendsNothing(t *testing.T) {
 
 func TestReplayThenLivePartialLogBuysOnlyTheRemainder(t *testing.T) {
 	e := newTestEngine(8, 51)
-	e.EnableLog()
+	enableLog(e)
 	e.Draw(0, 3, 40)
 
 	// Truncate the checkpoint: only the first 25 judgments survived.
-	log := e.Log()[:25]
+	log := logOf(e)[:25]
 	rl := NewReplayThenLive(log, gaussOracle{n: 8, sigma: 0.2})
 	e2 := NewEngine(rl, rand.New(rand.NewSource(100)))
 	v := e2.Draw(0, 3, 40)
@@ -55,10 +55,10 @@ func TestReplayThenLivePartialLogBuysOnlyTheRemainder(t *testing.T) {
 
 func TestReplayThenLiveScalarPath(t *testing.T) {
 	e := newTestEngine(6, 52)
-	e.EnableLog()
+	enableLog(e)
 	e.Draw(2, 5, 2)
 
-	rl := NewReplayThenLive(e.Log(), gaussOracle{n: 6, sigma: 0.2})
+	rl := NewReplayThenLive(logOf(e), gaussOracle{n: 6, sigma: 0.2})
 	rng := rand.New(rand.NewSource(5))
 	rl.Preference(rng, 2, 5)
 	rl.Preference(rng, 2, 5)

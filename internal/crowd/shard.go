@@ -14,9 +14,9 @@ import (
 //     makes Engine.View (and everything built on it) mutex-free once a
 //     pair is warm.
 //   - dirty, guarded by mu, is a superset of read holding pairs created
-//     since the last promotion. Entries are never deleted (Reset swaps
-//     whole shards), which keeps the scheme far simpler than sync.Map:
-//     there are no expunged tombstones.
+//     since the last promotion. Entries are never deleted, which keeps
+//     the scheme far simpler than sync.Map: there are no expunged
+//     tombstones.
 //   - after enough read misses land on dirty, the dirty map is promoted:
 //     published as the new read map and set to nil. The next insert
 //     re-clones. Promotion is amortized O(1) per operation, exactly like
@@ -113,15 +113,4 @@ func (s *shard) count() int {
 		return len(*m)
 	}
 	return 0
-}
-
-// reset discards every pair in the shard. It must not race with in-flight
-// purchases (Engine.Reset's contract).
-func (s *shard) reset() {
-	s.mu.Lock()
-	s.read.Store(nil)
-	s.dirty = nil
-	s.amended.Store(false)
-	s.misses = 0
-	s.mu.Unlock()
 }

@@ -62,20 +62,6 @@ func TestShardPromotionKeepsAllKeys(t *testing.T) {
 	}
 }
 
-func TestShardResetEmpties(t *testing.T) {
-	var s shard
-	for i := 0; i < 10; i++ {
-		s.loadOrCreate(pairKey{i, i + 1}, func() *pairState { return &pairState{} })
-	}
-	s.reset()
-	if got := s.count(); got != 0 {
-		t.Fatalf("count after reset = %d, want 0", got)
-	}
-	if got := s.load(pairKey{0, 1}); got != nil {
-		t.Fatalf("load after reset = %v, want nil", got)
-	}
-}
-
 // TestShardConcurrent exercises mixed loads and creates from many
 // goroutines; under -race this pins the read/dirty publication protocol.
 func TestShardConcurrent(t *testing.T) {

@@ -21,38 +21,44 @@ func (c *captureSink) Record(recs []Record) {
 }
 
 func TestLogSinkStreamsEveryRecord(t *testing.T) {
+	buy := func(e *Engine) {
+		e.Draw(1, 4, 30)
+		e.Draw(5, 2, 12)
+		e.Grade(3)
+	}
+	ref := newTestEngine(8, 31)
+	mem := enableLog(ref)
+	buy(ref)
 	e := newTestEngine(8, 31)
 	sink := &captureSink{}
-	e.SetLogSink(sink) // enables logging as a side effect
-	e.Draw(1, 4, 30)
-	e.Draw(5, 2, 12)
-	e.Grade(3)
+	e.SetLogSink(sink)
+	buy(e)
 
-	logged := e.Log()
-	if len(logged) == 0 {
-		t.Fatal("SetLogSink did not enable logging")
+	if !reflect.DeepEqual(sink.recs, mem.Log()) {
+		t.Fatalf("sink saw\n%v\nthe in-memory trail holds\n%v", sink.recs, mem.Log())
 	}
-	if len(sink.recs) != len(logged) {
-		t.Fatalf("sink saw %d records, log holds %d", len(sink.recs), len(logged))
+	if int64(len(sink.recs)) != e.TMC() || e.Logged() != e.TMC() {
+		t.Fatalf("sink holds %d records, Logged %d, TMC %d", len(sink.recs), e.Logged(), e.TMC())
 	}
-	for i := range logged {
-		if sink.recs[i] != logged[i] {
-			t.Fatalf("record %d: sink got %+v, log holds %+v", i, sink.recs[i], logged[i])
-		}
-	}
-	if int64(len(logged)) != e.TMC() {
-		t.Fatalf("log holds %d records, TMC %d", len(logged), e.TMC())
+	if logOf(e) != nil {
+		t.Fatal("the engine kept an in-memory trail beside the sink")
 	}
 
-	// Detaching must stop the stream but leave the in-memory log running.
+	// A new trail replaces the old one; detaching stops the stream and
+	// the count.
 	seen := len(sink.recs)
+	next := enableLog(e)
+	e.Draw(0, 7, 5)
 	e.SetLogSink(nil)
 	e.Draw(0, 7, 5)
 	if len(sink.recs) != seen {
-		t.Fatalf("detached sink still received records")
+		t.Fatalf("replaced sink still received records")
 	}
-	if len(e.Log()) != len(logged)+5 {
-		t.Fatalf("in-memory log stopped accumulating after detach")
+	if len(next.Log()) != 5 || e.LogSink() != nil {
+		t.Fatalf("replacing trail holds %d records, want 5", len(next.Log()))
+	}
+	if e.Logged() != int64(seen)+5 {
+		t.Fatalf("Logged = %d, want %d: a detached engine counts nothing", e.Logged(), seen+5)
 	}
 }
 
@@ -77,9 +83,9 @@ func TestReplayThenLivePartialDeliversReplayedPrefix(t *testing.T) {
 	// arrive in full — history is already paid for and cannot fail — and
 	// only the shortfall is the live oracle's.
 	e := newTestEngine(8, 53)
-	e.EnableLog()
+	enableLog(e)
 	e.Draw(0, 3, 40)
-	log := e.Log()[:25]
+	log := logOf(e)[:25]
 
 	rl := NewReplayThenLive(log, &brittleOracle{n: 8, supply: 5})
 	rng := rand.New(rand.NewSource(9))
@@ -107,10 +113,10 @@ func TestReplayThenLivePartialDeliversReplayedPrefix(t *testing.T) {
 
 func TestReplayThenLivePartialFullyReplayed(t *testing.T) {
 	e := newTestEngine(6, 54)
-	e.EnableLog()
+	enableLog(e)
 	e.Draw(2, 5, 10)
 
-	rl := NewReplayThenLive(e.Log(), &brittleOracle{n: 6, supply: 0})
+	rl := NewReplayThenLive(logOf(e), &brittleOracle{n: 6, supply: 0})
 	dst := make([]float64, 10)
 	filled, err := rl.PreferencesPartial(rand.New(rand.NewSource(1)), 2, 5, dst)
 	if filled != 10 || err != nil {
@@ -129,13 +135,13 @@ func TestHoldLogReleasesInHoldOrder(t *testing.T) {
 	// want is the log a sequential run makes: the unheld pair first (it
 	// is logged at purchase), then each held pair's purchases in turn.
 	seq := newTestEngine(8, 61)
-	seq.EnableLog()
+	enableLog(seq)
 	seq.Draw(6, 7, 3)
 	for _, pr := range held {
 		seq.Draw(pr[0], pr[1], 5)
 		seq.DrawOne(pr[1], pr[0])
 	}
-	want := seq.Log()
+	want := logOf(seq)
 
 	for rep := 0; rep < 20; rep++ {
 		e := newTestEngine(8, 61)
@@ -154,12 +160,12 @@ func TestHoldLogReleasesInHoldOrder(t *testing.T) {
 		}
 		wg.Wait()
 		e.Draw(6, 7, 3)
-		if got := len(e.Log()); got != 3 {
-			t.Fatalf("rep %d: %d records reached the log before Release, want only the 3 unheld", rep, got)
+		if got := len(sink.recs); got != 3 || e.Logged() != 3 {
+			t.Fatalf("rep %d: %d records (Logged %d) reached the sink before Release, want only the 3 unheld", rep, got, e.Logged())
 		}
 		h.Release()
-		if !reflect.DeepEqual(e.Log(), want) {
-			t.Fatalf("rep %d: released log\n%v\nwant\n%v", rep, e.Log(), want)
+		if e.Logged() != e.TMC() {
+			t.Fatalf("rep %d: Logged %d after Release, TMC %d", rep, e.Logged(), e.TMC())
 		}
 		if !reflect.DeepEqual(sink.recs, want) {
 			t.Fatalf("rep %d: sink saw\n%v\nwant\n%v", rep, sink.recs, want)
@@ -171,25 +177,25 @@ func TestHoldLogNestedAndDisabled(t *testing.T) {
 	e := newTestEngine(4, 62)
 	pair01 := func(int) (int, int) { return 0, 1 }
 	if h := e.HoldLog(1, pair01); h != nil {
-		t.Fatalf("HoldLog with logging off returned %v, want nil", h)
+		t.Fatalf("HoldLog without a trail returned %v, want nil", h)
 	}
 	var none *HeldLog
 	none.Release() // a nil holder is a no-op
 
-	e.EnableLog()
+	enableLog(e)
 	outer := e.HoldLog(1, pair01)
 	inner := e.HoldLog(1, func(int) (int, int) { return 1, 0 })
 	e.Draw(0, 1, 4)
 	inner.Release()
-	if got := len(e.Log()); got != 0 {
+	if got := len(logOf(e)); got != 0 {
 		t.Fatalf("pair still held by the outer holder logged %d records", got)
 	}
 	outer.Release()
-	if got := len(e.Log()); got != 4 {
+	if got := len(logOf(e)); got != 4 {
 		t.Fatalf("log holds %d records after the last Release, want 4", got)
 	}
 	e.Draw(0, 1, 2)
-	if got := len(e.Log()); got != 6 {
+	if got := len(logOf(e)); got != 6 {
 		t.Fatalf("released pair logged %d records, want 6", got)
 	}
 }

@@ -23,7 +23,7 @@ func streamOf(e *Engine, i, j int) *rand.Rand {
 // order and canonical orientation.
 func drawnValues(e *Engine) []float64 {
 	var out []float64
-	for _, r := range e.Log() {
+	for _, r := range logOf(e) {
 		out = append(out, r.Value)
 	}
 	return out
@@ -37,13 +37,13 @@ func drawnValues(e *Engine) []float64 {
 func TestPairStreamSeededOnFirstDraw(t *testing.T) {
 	t.Run("SeedPair then draw equals draw first", func(t *testing.T) {
 		fresh := newTestEngine(6, 17)
-		fresh.EnableLog()
+		enableLog(fresh)
 		fresh.Draw(1, 4, 7)
 		fresh.DrawOne(4, 1)
 		fresh.Draw(4, 1, 3)
 
 		seeded := newTestEngine(6, 17)
-		seeded.EnableLog()
+		enableLog(seeded)
 		if !seeded.SeedPair(1, 4, PairPosterior{N: 5, Mean: 0.2, M2: 0.4, BinN: 4, BinMean: 0.5, BinM2: 3}, false) {
 			t.Fatal("SeedPair on an untouched pair refused")
 		}
@@ -93,12 +93,12 @@ func TestPairStreamSeededOnFirstDraw(t *testing.T) {
 	t.Run("replay-then-live tail reads the pair stream", func(t *testing.T) {
 		live := gaussOracle{n: 6, sigma: 0.2}
 		ref := NewEngine(live, rand.New(rand.NewSource(23)))
-		ref.EnableLog()
+		enableLog(ref)
 		ref.Draw(2, 5, 6)
 
 		recorded := []Record{{I: 2, J: 5, Value: 0.9}, {I: 5, J: 2, Value: 0.25}}
 		e := NewEngine(NewReplayThenLive(recorded, live), rand.New(rand.NewSource(23)))
-		e.EnableLog()
+		enableLog(e)
 		e.Draw(2, 5, 8)
 		if streamOf(e, 2, 5) == nil {
 			t.Fatal("replay-then-live over a dataset oracle drew without a stream")

@@ -106,7 +106,7 @@ func Run(sess *crowdtopk.Session, cfg Config) *Report {
 	rep := &Report{Config: cfg, Queries: make([]QueryReport, cfg.Queries)}
 	rep.GoroutinesBefore = runtime.NumGoroutine()
 	tmc0 := sess.TMC()
-	audit0 := len(sess.AuditLog())
+	audit0 := sess.AuditLen()
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(cfg.Queries) // jitter launch order vs priority order
@@ -186,10 +186,10 @@ func Run(sess *crowdtopk.Session, cfg Config) *Report {
 	wg.Wait()
 
 	rep.SessionTMC = sess.TMC() - tmc0
-	rep.AuditLen = len(sess.AuditLog()) - audit0
-	// A disabled audit log reads nil even after spending; an enabled one
-	// is non-nil as soon as anything was charged.
-	rep.AuditOn = sess.AuditLog() != nil
+	rep.AuditLen = int(sess.AuditLen() - audit0)
+	// A session without an audit trail counts no records even after
+	// spending; one with a trail counts from the first charged microtask.
+	rep.AuditOn = sess.AuditLen() > 0
 	rep.GoroutinesAfter = runtime.NumGoroutine()
 	return rep
 }

@@ -25,8 +25,7 @@ var ErrLocked = errors.New("lockfile: held by another process")
 // Lock is one held lock. Release it when the guarded store closes; a
 // crashed holder releases implicitly when the OS closes its descriptors.
 type Lock struct {
-	path string
-	f    *os.File
+	f *os.File
 }
 
 // Acquire takes the exclusive lock at path (creating the file if absent)
@@ -56,7 +55,7 @@ func Acquire(path string) (*Lock, error) {
 		_, _ = f.WriteAt([]byte(strconv.Itoa(os.Getpid())+"\n"), 0)
 		_ = f.Sync()
 	}
-	return &Lock{path: path, f: f}, nil
+	return &Lock{f: f}, nil
 }
 
 // Release drops the lock. The lock file itself is left in place — it is a
@@ -73,6 +72,3 @@ func (l *Lock) Release() error {
 	l.f = nil
 	return err
 }
-
-// Path returns the lock file path.
-func (l *Lock) Path() string { return l.path }

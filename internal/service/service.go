@@ -54,9 +54,9 @@ type Config struct {
 	// MaxQueue bounds queries waiting for an execution slot (default 64).
 	// A full queue is the 429 backpressure signal.
 	MaxQueue int
-	// AuditEnabled declares that the session records an audit log, so
-	// /debug/accounting can check TMC == audit length (the caller enables
-	// the log; the server cannot tell an empty log from a disabled one).
+	// AuditEnabled declares that the session has an audit trail, so
+	// /debug/accounting can check TMC == audit length (the caller attaches
+	// the trail; the server cannot tell an empty trail from none).
 	AuditEnabled bool
 	// EventInterval is the SSE progress sampling period (default 100ms).
 	EventInterval time.Duration
@@ -184,11 +184,13 @@ type Status struct {
 type Accounting struct {
 	SessionTMC  int64 `json:"session_tmc"`
 	SumQueryTMC int64 `json:"sum_query_tmc"`
-	AuditLen    int   `json:"audit_len"`
-	AuditOn     bool  `json:"audit_on"`
-	Balanced    bool  `json:"balanced"`
-	Running     int   `json:"running"`
-	Queued      int   `json:"queued"`
+	// AuditLen counts the records handed to the session's audit trail
+	// (Session.AuditLen), in memory or durable alike.
+	AuditLen int  `json:"audit_len"`
+	AuditOn  bool `json:"audit_on"`
+	Balanced bool `json:"balanced"`
+	Running  int  `json:"running"`
+	Queued   int  `json:"queued"`
 
 	// Judgment-store traffic (all zero without Options.JudgmentStore).
 	// Store hits charge no TMC, so they never unbalance the invariant;
@@ -656,7 +658,7 @@ func (s *Server) accounting() Accounting {
 	acc := Accounting{
 		SessionTMC:  sess.TMC(),
 		SumQueryTMC: sum,
-		AuditLen:    len(sess.AuditLog()),
+		AuditLen:    int(sess.AuditLen()),
 		Running:     running,
 		Queued:      queued,
 	}

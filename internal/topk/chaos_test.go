@@ -30,7 +30,7 @@ func chaosStack(n int, seed int64, cfg crowd.FaultConfig, policy crowd.RetryPoli
 	fp := crowd.NewFaultyPlatform(crowd.NewSimPlatform(src, 4, seed+1), cfg)
 	po := crowd.NewPlatformOracle(n, fp).WithResilience(policy)
 	eng := crowd.NewEngine(po, rand.New(rand.NewSource(seed+2)))
-	eng.EnableLog()
+	eng.SetLogSink(new(crowd.MemLog))
 	r := compare.NewRunner(eng, compare.NewStudent(0.05), compare.Params{
 		B: 200, I: 10, Step: 10, Parallelism: parallelism,
 	})
@@ -48,13 +48,16 @@ func checkChaosInvariants(t *testing.T, r *compare.Runner, res Result, k int) {
 		t.Fatalf("returned %d items, want %d", len(res.TopK), k)
 	}
 	e := r.Engine()
-	if e.TMC() != int64(len(e.Log())) {
-		t.Fatalf("accounting drift: TMC %d != %d logged microtasks", e.TMC(), len(e.Log()))
+	if n := len(trail(e)); e.TMC() != int64(n) {
+		t.Fatalf("accounting drift: TMC %d != %d logged microtasks", e.TMC(), n)
 	}
 	if e.TMC() != e.PairwiseTasks()+e.GradedTasks() {
 		t.Fatalf("TMC %d != pairwise %d + graded %d", e.TMC(), e.PairwiseTasks(), e.GradedTasks())
 	}
 }
+
+// trail returns the records of the engine's in-memory audit trail.
+func trail(e *crowd.Engine) []crowd.Record { return e.LogSink().(*crowd.MemLog).Log() }
 
 func reportRecall(t *testing.T, name string, got []int, src dataset.Source, k int) int {
 	t.Helper()
@@ -159,7 +162,7 @@ func TestChaosAuditLogByteIdentical(t *testing.T) {
 		res := Run(NewSPR(), r, 4)
 		checkChaosInvariants(t, r, res, 4)
 		var buf bytes.Buffer
-		if err := r.Engine().WriteLog(&buf); err != nil {
+		if err := r.Engine().LogSink().(*crowd.MemLog).WriteLog(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -177,11 +180,12 @@ func TestChaosCheckpointResume(t *testing.T) {
 	const n, k = 16, 4
 	src := dataset.NewSynthetic(n, 0.2, 113)
 	eng := crowd.NewEngine(src, rand.New(rand.NewSource(7)))
-	eng.EnableLog()
+	log := new(crowd.MemLog)
+	eng.SetLogSink(log)
 	r := compare.NewRunner(eng, compare.NewStudent(0.05), compare.Params{B: 200, I: 10, Step: 10, Parallelism: 1})
 	first := Run(NewSPR(), r, k)
 
-	rl := crowd.NewReplayThenLive(eng.Log(), src)
+	rl := crowd.NewReplayThenLive(log.Log(), src)
 	eng2 := crowd.NewEngine(rl, rand.New(rand.NewSource(7)))
 	r2 := compare.NewRunner(eng2, compare.NewStudent(0.05), compare.Params{B: 200, I: 10, Step: 10, Parallelism: 1})
 	second := Run(NewSPR(), r2, k)
@@ -223,8 +227,8 @@ func FuzzFaultSchedule(f *testing.F) {
 			t.Fatalf("returned %d items, want %d", len(res.TopK), k)
 		}
 		e := r.Engine()
-		if e.TMC() != int64(len(e.Log())) {
-			t.Fatalf("accounting drift: TMC %d != %d logged microtasks", e.TMC(), len(e.Log()))
+		if n := len(trail(e)); e.TMC() != int64(n) {
+			t.Fatalf("accounting drift: TMC %d != %d logged microtasks", e.TMC(), n)
 		}
 	})
 }

@@ -258,7 +258,7 @@ func (s *Session) StartTopK(ctx context.Context, k int, qo QueryOptions) (*Query
 		res := topk.RunContext(qctx, alg, r, k)
 		r.CommitConclusions()
 		stats := s.opts.Telemetry.statsSince(before, time.Since(start))
-		h.res, h.err = queryResult(res, stats, nil, s.runner.Engine().Oracle())
+		h.res, h.err = queryResult(res, stats, alg, s.runner.Engine().Oracle())
 		close(h.done)
 	}()
 	return h, nil

@@ -66,16 +66,36 @@ func NewSession(o Oracle, opts Options) (*Session, error) {
 	return &Session{opts: opts, runner: r, closeCtx: closeCtx, closeCancel: closeCancel}, nil
 }
 
-// EnableAuditLog turns on microtask recording for the rest of the
-// session.
-func (s *Session) EnableAuditLog() { s.runner.Engine().EnableLog() }
+// EnableAuditLog attaches an in-memory audit trail that records every
+// microtask the session purchases from now on. A session has one trail:
+// this replaces a trail set by SetAuditSink, and calling it again keeps
+// the in-memory trail already attached.
+func (s *Session) EnableAuditLog() {
+	if s.memTrail() == nil {
+		s.runner.Engine().SetLogSink(new(crowd.MemLog))
+	}
+}
 
-// AuditLog returns the recorded microtasks in purchase order (empty
-// unless EnableAuditLog was called). The slice is shared; do not modify.
-func (s *Session) AuditLog() []TaskRecord { return s.runner.Engine().Log() }
+// memTrail returns the attached in-memory trail, or nil.
+func (s *Session) memTrail() *crowd.MemLog {
+	m, _ := s.runner.Engine().LogSink().(*crowd.MemLog)
+	return m
+}
 
-// WriteAuditLog serializes the audit log as JSON.
-func (s *Session) WriteAuditLog(w io.Writer) error { return s.runner.Engine().WriteLog(w) }
+// AuditLog returns the in-memory trail's records in purchase order, or
+// nil when no in-memory trail is attached — none at all, or a durable one
+// set by SetAuditSink, which keeps nothing in memory. The slice is
+// shared; do not modify.
+func (s *Session) AuditLog() []TaskRecord { return s.memTrail().Log() }
+
+// WriteAuditLog serializes the in-memory trail as JSON (null when there
+// is none).
+func (s *Session) WriteAuditLog(w io.Writer) error { return s.memTrail().WriteLog(w) }
+
+// AuditLen returns how many microtask records the session has handed to
+// its audit trail, in memory or durable alike. At quiescence it equals
+// TMC when a trail was attached before the first purchase.
+func (s *Session) AuditLen() int64 { return s.runner.Engine().Logged() }
 
 // ReadAuditLog parses a JSON audit log written by WriteAuditLog.
 func ReadAuditLog(r io.Reader) ([]TaskRecord, error) { return crowd.ReadLog(r) }
