@@ -99,16 +99,30 @@ func (b *bag) restore(p PairPosterior) {
 // order. It folds each sample into the Welford recurrences one at a time,
 // so a batched purchase produces bit-identical statistics to
 // sample-at-a-time ingestion — the determinism contract the equivalence
-// suites pin down.
+// suites pin down. Both recurrences run in one loop over locals: each
+// is the exact operation sequence of stats.Running.Add, and their two
+// divisions per sample overlap instead of running back to back.
 func (b *bag) addAll(vs []float64) {
-	b.pref.AddAll(vs)
+	n, mean, m2 := b.pref.N(), b.pref.Mean(), b.pref.M2()
+	bn, bmean, bm2 := b.bin.N(), b.bin.Mean(), b.bin.M2()
 	for _, v := range vs {
-		switch {
-		case v > 0:
-			b.bin.Add(1)
-		case v < 0:
-			b.bin.Add(-1)
-			// v == 0: the binary judgment model drops unidentifiable votes.
+		n++
+		d := v - mean
+		mean += d / float64(n)
+		m2 += d * (v - mean)
+		// The sign view drops v == 0: the binary judgment model's
+		// unidentifiable votes.
+		if v != 0 {
+			x := 1.0
+			if v < 0 {
+				x = -1
+			}
+			bn++
+			d := x - bmean
+			bmean += d / float64(bn)
+			bm2 += d * (x - bmean)
 		}
 	}
+	b.pref = stats.Restore(n, mean, m2)
+	b.bin = stats.Restore(bn, bmean, bm2)
 }

@@ -19,9 +19,10 @@ const numShards = 64
 //
 // rng is nil until the pair's first draw seeds it (streamLocked): a pair
 // served only from the judgment store, or drawn through an oracle that
-// never reads the stream, never pays for a 607-word math/rand register.
-// Seeding late does not change the values, since the seed depends only on
-// the engine seed and the pair.
+// never reads the stream, holds no stream at all. Seeding late does not
+// change the values, since the seed depends only on the engine seed and
+// the pair. The stream's source is a seededSource, so seeding is O(1) and
+// a pair that has drawn at most 64 uniforms holds 64 words of state.
 //
 // view is the pair's atomically published BagView snapshot in canonical
 // (lo, hi) orientation. There is a single writer per pair — whoever holds
@@ -35,7 +36,7 @@ const numShards = 64
 // guarded by mu.
 type pairState struct {
 	mu     sync.Mutex
-	rng    *rand.Rand
+	rng    *stream
 	bag    bag
 	view   atomic.Pointer[BagView]
 	held   int
@@ -48,6 +49,24 @@ type pairState struct {
 func (ps *pairState) publishLocked() {
 	v := ps.bag.view(false)
 	ps.view.Store(&v)
+}
+
+// stream is one pair's or one graded item's private sample stream: a
+// rand.Rand over an O(1)-seeded source that equals rand.NewSource draw
+// for draw. The ring's first ringHead words come with the stream, so a
+// lightly drawn pair makes one allocation for its whole stream.
+type stream struct {
+	rand.Rand
+	src  seededSource
+	head [ringHead]int64
+}
+
+func newStream(seed int64) *stream {
+	s := new(stream)
+	s.src.ring = s.head[:0]
+	s.src.Seed(seed)
+	s.Rand = *rand.New(&s.src)
+	return s
 }
 
 // drawBufPool recycles the per-batch sample scratch buffers so the Draw
@@ -127,7 +146,7 @@ type Engine struct {
 	ins *EngineInstruments
 
 	gradeMu  sync.Mutex
-	gradeRng map[int]*rand.Rand // per-item graded sample streams
+	gradeRng map[int]*stream // per-item graded sample streams
 }
 
 // NewEngine returns an engine over the given oracle. rng seeds all sample
@@ -146,7 +165,7 @@ func NewEngine(o Oracle, rng *rand.Rand) *Engine {
 		kernel:   kernelOf(o),
 		rng:      rng,
 		baseSeed: rng.Int63(),
-		gradeRng: make(map[int]*rand.Rand),
+		gradeRng: make(map[int]*stream),
 	}
 	e.control = &ControlRand{r: rng}
 	e.streamless = ignoresStream(o)
@@ -270,14 +289,17 @@ func (e *Engine) pair(k pairKey) *pairState {
 // purchase, not per sample; the seeding sits in its own function so this
 // check inlines into the draw paths. Callers must hold ps.mu.
 func (e *Engine) streamLocked(ps *pairState, k pairKey) *rand.Rand {
-	if ps.rng == nil && !e.streamless {
+	if ps.rng == nil {
+		if e.streamless {
+			return nil
+		}
 		e.seedStreamLocked(ps, k)
 	}
-	return ps.rng
+	return &ps.rng.Rand
 }
 
 func (e *Engine) seedStreamLocked(ps *pairState, k pairKey) {
-	ps.rng = rand.New(rand.NewSource(e.pairSeed(k)))
+	ps.rng = newStream(e.pairSeed(k))
 }
 
 // lookup returns the pair's state without creating it.
@@ -658,10 +680,10 @@ func (e *Engine) Grade(i int) (float64, bool) {
 	}
 	rng := e.gradeRng[i]
 	if rng == nil {
-		rng = rand.New(rand.NewSource(e.gradeSeed(i)))
+		rng = newStream(e.gradeSeed(i))
 		e.gradeRng[i] = rng
 	}
-	v := g.Grade(rng, i)
+	v := g.Grade(&rng.Rand, i)
 	e.graded.Add(1)
 	if e.sink.Load() != nil {
 		e.logBatch(i, -1, []float64{v})

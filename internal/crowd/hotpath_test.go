@@ -129,9 +129,15 @@ func benchDraw(b *testing.B, batch int, batched bool) {
 //     still dispatches per sample;
 //   - batchN: one Draw(N) through the BatchOracle kernel — one dispatch
 //     for the whole batch.
+//   - heavy: one histogram pair on a fresh engine, drawn in batches of
+//     30 up to 1,000 samples — seeding, 2,000 uniforms, the inverse-CDF
+//     search and the bag. This is the shape of the most expensive
+//     queries (quickselect on IMDb under a fixed-step policy), which
+//     set the tail latency of a cold query mix.
 //
 // The ≥3x acceptance target compares batch30 against onebyone30.
 func BenchmarkDrawHotPath(b *testing.B) {
+	b.Run("heavy", benchDrawHeavy)
 	b.Run("onebyone30", func(b *testing.B) { benchDrawOne(b, 30) })
 	b.Run("scalar30", func(b *testing.B) { benchDraw(b, 30, false) })
 	b.Run("batch30", func(b *testing.B) { benchDraw(b, 30, true) })
@@ -159,6 +165,33 @@ func BenchmarkDrawHotPathInstrumented(b *testing.B) {
 	b.Run("off", func(b *testing.B) { run(b, nil) })
 	b.Run("disabled", func(b *testing.B) { run(b, NewEngineInstruments(nil)) })
 	b.Run("enabled", func(b *testing.B) { run(b, NewEngineInstruments(obs.NewRegistry())) })
+}
+
+// HeavyPairOracle returns the histogram oracle the heavy case draws
+// from. The dataset package imports this one, so the IMDb stand-in is
+// wired in from the external test package (hotpath_imdb_test.go).
+var HeavyPairOracle func() Oracle
+
+// benchDrawHeavy buys heavyPairSamples for one pair on a fresh engine per
+// iteration, in batches of heavyPairBatch, and reports the cost per
+// microtask. The engines share one control generator, so each iteration
+// roots its pair stream at a different seed.
+func benchDrawHeavy(b *testing.B) {
+	const heavyPairSamples, heavyPairBatch = 1000, 30
+	if HeavyPairOracle == nil {
+		b.Skip("no histogram oracle wired in")
+	}
+	o := HeavyPairOracle()
+	ctl := rand.New(rand.NewSource(11))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		e := NewEngine(o, ctl)
+		for n := 0; n < heavyPairSamples; n += heavyPairBatch {
+			e.Draw(0, 1, min(heavyPairBatch, heavyPairSamples-n))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*heavyPairSamples), "ns/microtask")
 }
 
 // benchDrawOne purchases batch samples one microtask at a time, so one

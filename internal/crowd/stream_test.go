@@ -2,6 +2,7 @@ package crowd
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -9,7 +10,7 @@ import (
 )
 
 // streamOf returns the pair's stream pointer as the engine holds it.
-func streamOf(e *Engine, i, j int) *rand.Rand {
+func streamOf(e *Engine, i, j int) *stream {
 	ps := e.lookup(keyOf(i, j))
 	if ps == nil {
 		return nil
@@ -111,17 +112,26 @@ func TestPairStreamSeededOnFirstDraw(t *testing.T) {
 	})
 }
 
-// bytesPerRun returns the mean heap bytes fn allocates per call.
+// bytesPerRun returns the heap bytes fn allocates per call: the least
+// mean over bytesRounds rounds of runs calls each. TotalAlloc counts the
+// whole process, and other goroutines (the race detector's, the
+// runtime's, another test's leftovers) only ever add to it, so the
+// quietest round is the closest reading of fn's own allocations.
 func bytesPerRun(runs int, fn func()) float64 {
+	const bytesRounds = 5
 	fn() // warm up pools and maps outside the measurement
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for r := 0; r < runs; r++ {
-		fn()
+	best := math.Inf(1)
+	for round := 0; round < bytesRounds; round++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for r := 0; r < runs; r++ {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, float64(after.TotalAlloc-before.TotalAlloc)/float64(runs))
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	return best
 }
 
 // TestSeedPairFreshPairAllocs guards the store-served path: installing a

@@ -3,7 +3,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Histogram is a rating-histogram dataset in the style of the paper's IMDb
@@ -14,10 +13,13 @@ import (
 type Histogram struct {
 	name  string
 	scale int
-	// hist[i][b] is the probability of rating b+1 for item i; cum[i] its
-	// prefix sums for inverse-CDF sampling.
+	// hist[i][b] is the probability of rating b+1 for item i; cdf[i] its
+	// prefix sums with a guide table, for inverse-CDF sampling.
 	hist [][]float64
-	cum  [][]float64
+	cdf  []cdfRow
+	// prefs[scale−1+b−c] is the preference (b−c)/(scale−1) of rating
+	// indices b and c: a lookup per microtask instead of a division.
+	prefs []float64
 	// votes[i] is the number of votes behind the histogram (drives the
 	// weighted-rank ground truth for IMDb).
 	votes []int
@@ -64,8 +66,9 @@ func NewHistogram(cfg HistogramConfig) *Histogram {
 	h := &Histogram{
 		name:  cfg.Name,
 		scale: cfg.Scale,
+		prefs: preferenceTable(cfg.Scale),
 		hist:  make([][]float64, cfg.N),
-		cum:   make([][]float64, cfg.N),
+		cdf:   make([]cdfRow, cfg.N),
 		votes: make([]int, cfg.N),
 		mean:  make([]float64, cfg.N),
 		sd:    make([]float64, cfg.N),
@@ -91,7 +94,7 @@ func NewHistogram(cfg HistogramConfig) *Histogram {
 		h.votes[i] = int(math.Exp(lo + rng.Float64()*(hi-lo)))
 
 		h.hist[i] = probs
-		h.cum[i] = cumsum(probs)
+		h.cdf[i] = newCDFRow(cumsum(probs))
 		h.mean[i], h.sd[i] = histMoments(probs)
 	}
 
@@ -158,6 +161,18 @@ func squashQuality(raw, lo, hi float64) float64 {
 	return lo + math.Log1p(math.Exp(q-lo)) // soft lower bound
 }
 
+// preferenceTable returns the 2·scale−1 preferences a pair of ratings
+// on a 1..scale axis can produce, indexed by scale−1 plus the rating
+// difference, each computed as (s_i − s_j)/(scale−1) is.
+func preferenceTable(scale int) []float64 {
+	d := float64(scale - 1)
+	t := make([]float64, 2*scale-1)
+	for k := range t {
+		t[k] = float64(k-(scale-1)) / d
+	}
+	return t
+}
+
 func cumsum(p []float64) []float64 {
 	c := make([]float64, len(p))
 	s := 0.0
@@ -187,47 +202,91 @@ func (h *Histogram) Name() string { return h.name }
 // NumItems implements crowd.Oracle.
 func (h *Histogram) NumItems() int { return len(h.hist) }
 
-// sampleRating draws one rating for item i by inverse-CDF sampling.
-func (h *Histogram) sampleRating(rng *randSource, i int) float64 {
-	return sampleCDF(rng, h.cum[i])
+// cdfGuide is the number of equal-width buckets of [0, 1) in a CDF
+// row's guide table. A power of two, so u·cdfGuide is exact and the
+// bucket of any u < 1 is below cdfGuide.
+const cdfGuide = 128
+
+// cdfExact flags a guide entry whose bucket holds no row value, so every
+// u in it selects the same index; the low seven bits hold the index.
+const cdfExact = 0x80
+
+// cdfRow is one item's cumulative rating distribution, nondecreasing,
+// with a guide table over cdfGuide buckets of [0, 1). guide[k] holds the
+// number of entries below k/cdfGuide, capped at the last index and at
+// 127: any u in bucket k selects at least that index, so the search
+// starts there. When no entry falls inside the bucket (the common case
+// for a ten-rating row) the entry is flagged exact and the search reads
+// nothing else, where a binary search spends four unpredictable
+// branches.
+type cdfRow struct {
+	cum   []float64
+	guide [cdfGuide]uint8
 }
 
-// sampleCDF draws one rating from a cumulative distribution row: one
-// uniform, one binary search.
-func sampleCDF(rng *randSource, cum []float64) float64 {
-	u := rng.Float64()
-	b := sort.SearchFloat64s(cum, u)
-	if b >= len(cum) {
-		b = len(cum) - 1
+func newCDFRow(cum []float64) cdfRow {
+	r := cdfRow{cum: cum}
+	last := len(cum) - 1
+	// below(x) is the number of entries below x, capped at last.
+	below := func(x float64) int {
+		b := 0
+		for b < last && cum[b] < x {
+			b++
+		}
+		return b
 	}
-	return float64(b + 1)
+	for k := range r.guide {
+		lo := below(float64(k) / cdfGuide)
+		g := uint8(min(lo, cdfExact-1))
+		if lo < cdfExact && below(float64(k+1)/cdfGuide) == lo {
+			g |= cdfExact
+		}
+		r.guide[k] = g
+	}
+	return r
+}
+
+// search returns the rating index a uniform u ∈ [0, 1) selects: the
+// number of entries below u, capped at the last index. On a
+// nondecreasing row that is sort.SearchFloat64s(cum, u) capped the same
+// way, which TestCDFSearchMatchesBinarySearch and FuzzHistogramCDF check.
+func (r *cdfRow) search(u float64) int {
+	g := r.guide[int(u*cdfGuide)]
+	b := int(g &^ cdfExact)
+	if g&cdfExact == 0 {
+		for b < len(r.cum)-1 && r.cum[b] < u {
+			b++
+		}
+	}
+	return b
 }
 
 // Preference implements crowd.Oracle: v = (s_i − s_j)/(scale−1).
 func (h *Histogram) Preference(rng *randSource, i, j int) float64 {
-	si := h.sampleRating(rng, i)
-	sj := h.sampleRating(rng, j)
-	return (si - sj) / float64(h.scale-1)
+	si := h.cdf[i].search(rng.Float64())
+	sj := h.cdf[j].search(rng.Float64())
+	return h.prefs[h.scale-1+si-sj]
 }
 
-// Preferences implements crowd.BatchOracle. The CDF rows and the scale
-// divisor are resolved once per batch; each slot still draws the same two
-// uniforms in the same order as one Preference call, through the same
-// inverse-CDF search, so the sample stream is unchanged.
+// Preferences implements crowd.BatchOracle. The CDF rows and the
+// preference table are resolved once per batch; each slot still draws
+// the same two uniforms in the same order as one Preference call,
+// through the same inverse-CDF search, so the sample stream is
+// unchanged.
 func (h *Histogram) Preferences(rng *randSource, i, j int, dst []float64) {
-	ci, cj := h.cum[i], h.cum[j]
-	d := float64(h.scale - 1)
+	ci, cj := &h.cdf[i], &h.cdf[j]
+	prefs, zero := h.prefs, h.scale-1
 	for t := range dst {
-		si := sampleCDF(rng, ci)
-		sj := sampleCDF(rng, cj)
-		dst[t] = (si - sj) / d
+		si := ci.search(rng.Float64())
+		sj := cj.search(rng.Float64())
+		dst[t] = prefs[zero+si-sj]
 	}
 }
 
 // Grade implements crowd.Grader: one rating sampled from the item's
-// histogram.
+// histogram by inverse-CDF sampling.
 func (h *Histogram) Grade(rng *randSource, i int) float64 {
-	return h.sampleRating(rng, i)
+	return float64(h.cdf[i].search(rng.Float64()) + 1)
 }
 
 // TrueRank implements crowd.TruthOracle.

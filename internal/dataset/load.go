@@ -40,8 +40,9 @@ func LoadHistogramCSV(r io.Reader, name string, k, c float64) (*Histogram, error
 	h := &Histogram{
 		name:  name,
 		scale: scale,
+		prefs: preferenceTable(scale),
 		hist:  make([][]float64, len(rows)),
-		cum:   make([][]float64, len(rows)),
+		cdf:   make([]cdfRow, len(rows)),
 		votes: make([]int, len(rows)),
 		mean:  make([]float64, len(rows)),
 		sd:    make([]float64, len(rows)),
@@ -72,7 +73,7 @@ func LoadHistogramCSV(r io.Reader, name string, k, c float64) (*Histogram, error
 		}
 		h.votes[i] = votes
 		h.hist[i] = counts
-		h.cum[i] = cumsum(counts)
+		h.cdf[i] = newCDFRow(cumsum(counts))
 		h.mean[i], h.sd[i] = histMoments(counts)
 	}
 

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -195,6 +197,46 @@ func TestServerRestoreCanceledSnapshot(t *testing.T) {
 	st := getStatus(t, hs.URL, "q1")
 	if st.State != "canceled" || !st.Canceled {
 		t.Fatalf("canceled snapshot restored as %+v", st)
+	}
+}
+
+// TestAccountingAfterRestore pins the restart ledger: a journal with one
+// finished query reinstates it, and /debug/accounting reports its spend
+// as restored_tmc, apart from this process's meters, so the ledger
+// balances before and after a query runs here.
+func TestAccountingAfterRestore(t *testing.T) {
+	srv, hs, _ := newTestServer(t, crowdtopk.SyntheticDataset(30, 0.3, 7), Config{})
+	recorded := Status{ID: "q1", State: "done", K: 4, TMC: 8860, Rounds: 31, TopK: []int{3, 0, 8, 2}}
+	if _, finished := srv.Restore([]JournalEntry{
+		{Op: "accept", ID: "q1", Req: &Request{K: 4}, UnixNano: 1},
+		{Op: "finish", ID: "q1", Status: &recorded},
+	}); finished != 1 {
+		t.Fatalf("Restore reinstated %d queries, want 1", finished)
+	}
+	accounting := func() Accounting {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/debug/accounting")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var acc Accounting
+		if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
+			t.Fatal(err)
+		}
+		return acc
+	}
+	if acc := accounting(); !acc.Balanced || acc.SessionTMC != 0 || acc.SumQueryTMC != 0 || acc.RestoredTMC != 8860 {
+		t.Fatalf("after restore: %+v, want balanced, zero meters and restored_tmc 8860", acc)
+	}
+	st, code := postQuery(t, hs.URL, Request{K: 3})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after restore: HTTP %d", code)
+	}
+	live := waitDone(t, hs.URL, st.ID)
+	acc := accounting()
+	if !acc.Balanced || acc.SumQueryTMC != live.TMC || acc.RestoredTMC != 8860 || acc.SessionTMC == 0 {
+		t.Fatalf("after a live query of tmc %d: %+v", live.TMC, acc)
 	}
 }
 

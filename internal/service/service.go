@@ -182,8 +182,13 @@ type Status struct {
 // live. Balanced is only guaranteed at quiescence — while queries run,
 // the three meters are sampled at slightly different instants.
 type Accounting struct {
-	SessionTMC  int64 `json:"session_tmc"`
+	SessionTMC int64 `json:"session_tmc"`
+	// SumQueryTMC sums the queries this process ran. RestoredTMC is the
+	// spend of queries a journal reinstated as finished (Restore): it was
+	// paid by an earlier process, so it is in neither this session's meter
+	// nor its audit length, and Balanced leaves it out.
 	SumQueryTMC int64 `json:"sum_query_tmc"`
+	RestoredTMC int64 `json:"restored_tmc,omitempty"`
 	// AuditLen counts the records handed to the session's audit trail
 	// (Session.AuditLen), in memory or durable alike.
 	AuditLen int  `json:"audit_len"`
@@ -645,12 +650,20 @@ func (s *Server) handleAccounting(w http.ResponseWriter, r *http.Request) {
 }
 
 // accounting reads the global cost invariant: the session meter, the sum
-// of per-query meters, and the audit log must agree at quiescence.
+// of per-query meters, and the audit log must agree at quiescence. The
+// meters start at zero in every process, so only queries that ran in
+// this one count towards the sum; journal-restored ones are reported
+// apart.
 func (s *Server) accounting() Accounting {
 	s.mu.Lock()
-	var sum int64
+	var sum, restored int64
 	running, queued := s.running, s.queued
 	for _, q := range s.order {
+		// q.restored is set by Restore before serving and never changes.
+		if q.restored != nil {
+			restored += q.restored.TMC
+			continue
+		}
 		sum += q.tmc()
 	}
 	s.mu.Unlock()
@@ -658,6 +671,7 @@ func (s *Server) accounting() Accounting {
 	acc := Accounting{
 		SessionTMC:  sess.TMC(),
 		SumQueryTMC: sum,
+		RestoredTMC: restored,
 		AuditLen:    int(sess.AuditLen()),
 		Running:     running,
 		Queued:      queued,

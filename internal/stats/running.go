@@ -19,22 +19,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += d * (x - r.mean)
 }
 
-// AddAll incorporates every observation in xs, in order. It runs the same
-// per-sample Welford recurrence as Add — the floating-point operation
-// sequence is identical, so the result is bit-equal to len(xs) Add calls —
-// but accumulates in locals so the loop stays in registers instead of
-// writing the struct back every sample.
-func (r *Running) AddAll(xs []float64) {
-	n, mean, m2 := r.n, r.mean, r.m2
-	for _, x := range xs {
-		n++
-		d := x - mean
-		mean += d / float64(n)
-		m2 += d * (x - mean)
-	}
-	r.n, r.mean, r.m2 = n, mean, m2
-}
-
 // Restore reconstructs an accumulator from previously exported Welford
 // state (N, Mean, M2 — see the M2 accessor). A restored accumulator is
 // bit-identical to the one that exported the state: the judgment store

@@ -84,7 +84,9 @@ func TestRunningMergeEquivalentToSequential(t *testing.T) {
 
 func TestRunningReset(t *testing.T) {
 	var r Running
-	r.AddAll([]float64{1, 2, 3})
+	for _, v := range []float64{1, 2, 3} {
+		r.Add(v)
+	}
 	r.Reset()
 	if r.N() != 0 || r.Mean() != 0 || r.Var() != 0 {
 		t.Errorf("after Reset: n=%d mean=%v var=%v", r.N(), r.Mean(), r.Var())

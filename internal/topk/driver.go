@@ -43,6 +43,9 @@ type chain struct {
 	waiters []match
 	out     compare.Outcome
 	done    bool
+	// step is the chain's scheduler task body, one Advance of its pair,
+	// built once with the chain rather than once per submitted batch.
+	step func()
 }
 
 // drive runs a plan to completion on the runner's shared scheduler.
@@ -111,6 +114,7 @@ func drive(r *compare.Runner, p plan) {
 					continue
 				}
 				c := &chain{tag: nextTag, lo: lo, hi: hi, waiters: []match{m}}
+				c.step = func() { c.out, c.done = r.Advance(c.lo, c.hi) }
 				nextTag++
 				chains[key] = c
 				byTag[c.tag] = c
@@ -128,9 +132,7 @@ func drive(r *compare.Runner, p plan) {
 	var ticked int64
 	inflight := 0
 	submit := func(c *chain) {
-		q.Submit(sched.Task{Tag: c.tag, Round: c.round + 1, Run: func() {
-			c.out, c.done = r.Advance(c.lo, c.hi)
-		}})
+		q.Submit(sched.Task{Tag: c.tag, Round: c.round + 1, Run: c.step})
 		inflight++
 	}
 	for _, c := range live {
@@ -192,10 +194,7 @@ func driveWaves(r *compare.Runner, q *sched.Query, p plan, pump func() []*chain,
 			held = r.Engine().HoldLog(len(live), func(idx int) (int, int) { return live[idx].lo, live[idx].hi })
 		}
 		for _, c := range live {
-			c := c
-			q.Submit(sched.Task{Tag: c.tag, Round: wave, Run: func() {
-				c.out, c.done = r.Advance(c.lo, c.hi)
-			}})
+			q.Submit(sched.Task{Tag: c.tag, Round: wave, Run: c.step})
 		}
 		q.Drain(len(live))
 		held.Release()

@@ -92,6 +92,17 @@ go build -o "$workdir/topkd" ./cmd/topkd \
 
 # ---- Run 1: finish one query, shut down cleanly. ----
 boot 1
+# check_ledger asserts /debug/accounting balances in this life, with the
+# journal-restored finished query's spend reported apart as restored_tmc.
+check_ledger() {
+    local acc
+    acc=$(rq "http://$addr/debug/accounting")
+    [ "$(jq -r .balanced <<<"$acc")" = true ] \
+        || { echo "FAIL: /debug/accounting unbalanced $1: $acc"; exit 1; }
+    [ "$(jq -r ".restored_tmc // 0" <<<"$acc")" -eq "$q0_tmc" ] \
+        || { echo "FAIL: restored_tmc is not $q0_tmc $1: $acc"; exit 1; }
+}
+
 q0=$(rq "http://$addr/queries" -d '{"k":3,"algorithm":"spr","max_cost":300}' | jq -r .id)
 [ -n "$q0" ] && [ "$q0" != null ] || { echo "FAIL: POST /queries returned no id"; exit 1; }
 deadline=$((SECONDS + 60))
@@ -112,6 +123,7 @@ grep -q '^topkd: restore —' "$out" \
 q0_r2=$(rq "http://$addr/queries/$q0" | jq -S '{state, top_k, tmc}')
 [ "$q0_r2" = "$q0_before" ] \
     || { echo "FAIL: query $q0 changed across clean restart:"; echo "before: $q0_before"; echo "after:  $q0_r2"; exit 1; }
+check_ledger "after the clean restart"
 
 q2=$(rq "http://$addr/queries" -d '{"k":10,"algorithm":"spr"}' | jq -r .id)
 [ -n "$q2" ] && [ "$q2" != null ] || { echo "FAIL: POST /queries returned no id"; exit 1; }
@@ -151,6 +163,7 @@ while :; do
     [ "$SECONDS" -lt "$deadline" ] || { echo "FAIL: query $q2 stuck in state $state after resume"; exit 1; }
     sleep 0.1
 done
+check_ledger "after the crash-resume"
 drain
 
 acct=$(sed -n 's/^topkd: resume accounting — \([0-9]*\) replayed free, \([0-9]*\) live purchases, tmc \([0-9]*\)$/\1 \2 \3/p' "$out")
