@@ -135,28 +135,32 @@ policy-race:
 # Short fuzzing sessions: the plan driver's duplicate/orientation grouping,
 # randomized platform fault schedules against the resilience layer, the
 # O(1)-seeded source against math/rand's stream, the histogram's guided
-# CDF search against a binary search, and the resilient adapter's owed
-# counts against a map-based reference. Go runs one -fuzz target per
-# invocation, hence one command each.
+# CDF search against a binary search, the resilient adapter's owed
+# counts against a map-based reference, and the judgment store's line
+# encoder against json.Marshal. Go runs one -fuzz target per invocation,
+# hence one command each.
 fuzz:
 	$(GO) test ./internal/topk/ -run '^$$' -fuzz FuzzCompareAllGrouping -fuzztime 30s
 	$(GO) test ./internal/topk/ -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 30s
 	$(GO) test ./internal/crowd/ -run '^$$' -fuzz FuzzSeededSource -fuzztime 30s
 	$(GO) test ./internal/dataset/ -run '^$$' -fuzz FuzzHistogramCDF -fuzztime 30s
 	$(GO) test ./internal/crowd/ -run '^$$' -fuzz FuzzResilientBookkeeping -fuzztime 30s
+	$(GO) test ./internal/jstore/ -run '^$$' -fuzz FuzzRecordJSON -fuzztime 30s
 
 # Repeat the lazy pair-stream, engine stream golden, resilient-adapter,
-# engine identity table, runner purchase accounting, comparison exit-path
-# bookkeeping, bootstrap budget clamp, cross-layer identity and
-# audit-trail (record identity, audit_len per trail, durable trail keeps
-# nothing in memory) tests 20 times each: a test that passes once but
-# flakes under repetition (pooled state, map order, a leaked goroutine)
-# fails here.
+# engine identity table, in-memory trail growth (allocation guard, order
+# across growths), runner purchase accounting, comparison exit-path
+# bookkeeping, bootstrap budget clamp, cross-layer identity, audit-trail
+# (record identity, audit_len per trail, durable trail keeps nothing in
+# memory) and judgment-store compaction golden tests 20 times each: a
+# test that passes once but flakes under repetition (pooled state, map
+# order, a leaked goroutine) fails here.
 stress:
-	$(GO) test ./internal/crowd/ -run 'TestPairStream|TestEngineStreamGolden|TestSeedPairFreshPairAllocs|TestResilient|FuzzResilientBookkeeping|TestSimPlatformAnswersGolden|TestDrawBatchMatchesScalarFallback' -count 20
+	$(GO) test ./internal/crowd/ -run 'TestPairStream|TestEngineStreamGolden|TestSeedPairFreshPairAllocs|TestResilient|FuzzResilientBookkeeping|TestSimPlatformAnswersGolden|TestDrawBatchMatchesScalarFallback|TestMemLogGrowthAllocs|TestMemLogOrderAcrossGrowths' -count 20
 	$(GO) test ./internal/compare/ -run 'TestRunnerPurchaseAccounting|TestRunnerExitPathBookkeeping|TestBootstrapClampedToPairBudget' -count 20
 	$(GO) test . -run 'TestPolicyLayerCrossLayerEquivalence|TestAuditTrailIdentity|TestDurableTrailKeepsNothingInMemory' -count 20
 	$(GO) test ./internal/service/ -run 'TestAccountingAuditLenPerTrail' -count 20
+	$(GO) test ./internal/jstore/ -run 'TestCompactionGolden' -count 20
 
 # The deterministic chaos suite under the race detector: seeded fault
 # schedules (drops, stragglers, duplicates, corruption, transient and

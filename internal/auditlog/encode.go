@@ -1,11 +1,10 @@
 package auditlog
 
 import (
-	"encoding/json"
-	"math"
 	"strconv"
 
 	"crowdtopk/internal/crowd"
+	"crowdtopk/internal/jsonl"
 )
 
 // appendRecordJSON renders one record exactly as encoding/json would —
@@ -14,7 +13,8 @@ import (
 // CPU time is the audit log's entire overhead, so the record line is the
 // one encode worth hand-rolling. Byte equivalence with json.Marshal is
 // pinned by TestAppendRecordJSONMatchesStdlib: segment hashes cover the
-// line bytes, so the two encoders must never disagree.
+// line bytes, so the two encoders must never disagree. NaN/Inf never
+// reach here — ValidateRecord rejects them first.
 func appendRecordJSON(buf []byte, r crowd.Record) []byte {
 	buf = append(buf, `{"round":`...)
 	buf = strconv.AppendInt(buf, r.Round, 10)
@@ -23,29 +23,8 @@ func appendRecordJSON(buf []byte, r crowd.Record) []byte {
 	buf = append(buf, `,"j":`...)
 	buf = strconv.AppendInt(buf, int64(r.J), 10)
 	buf = append(buf, `,"value":`...)
-	buf = appendJSONFloat(buf, r.Value)
+	buf = jsonl.AppendFloat(buf, r.Value)
 	return append(buf, '}')
-}
-
-// appendJSONFloat formats f the way encoding/json formats a float64:
-// shortest round-trip representation, %f for ordinary magnitudes, %e
-// outside [1e-6, 1e21) with the exponent's leading zero trimmed.
-// NaN/Inf never reach here — ValidateRecord rejects them first.
-func appendJSONFloat(buf []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	buf = strconv.AppendFloat(buf, f, format, -1, 64)
-	if format == 'e' {
-		// 1e+09 → 1e+9, matching encoding/json's cleanup.
-		if n := len(buf); n >= 4 && buf[n-4] == 'e' && buf[n-2] == '0' {
-			buf[n-2] = buf[n-1]
-			buf = buf[:n-1]
-		}
-	}
-	return buf
 }
 
 // appendCheckpointJSON renders a checkpoint exactly as json.Marshal
@@ -57,11 +36,11 @@ func appendJSONFloat(buf []byte, f float64) []byte {
 // SHA-256.
 func appendCheckpointJSON(buf []byte, doc *checkpointDoc) []byte {
 	buf = append(buf, `{"kind":`...)
-	buf = appendJSONString(buf, doc.Kind)
+	buf = jsonl.AppendString(buf, doc.Kind)
 	buf = append(buf, `,"upto":`...)
 	buf = strconv.AppendInt(buf, int64(doc.UpTo), 10)
 	buf = append(buf, `,"chain":`...)
-	buf = appendJSONString(buf, doc.Chain)
+	buf = jsonl.AppendString(buf, doc.Chain)
 	buf = append(buf, `,"records":`...)
 	buf = strconv.AppendInt(buf, doc.Records, 10)
 	buf = append(buf, `,"pairs":`...)
@@ -100,13 +79,6 @@ func appendCheckpointJSON(buf []byte, doc *checkpointDoc) []byte {
 	return append(buf, '}')
 }
 
-// appendJSONString renders s as encoding/json does. Checkpoint strings
-// are a constant and a hex digest, so this is not worth hand-rolling.
-func appendJSONString(buf []byte, s string) []byte {
-	b, _ := json.Marshal(s) // a string always marshals
-	return append(buf, b...)
-}
-
 // appendJSONFloats renders a float64 slice as encoding/json does: null
 // for a nil slice, else a bracketed list.
 func appendJSONFloats(buf []byte, vs []float64) []byte {
@@ -118,7 +90,7 @@ func appendJSONFloats(buf []byte, vs []float64) []byte {
 		if n > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendJSONFloat(buf, v)
+		buf = jsonl.AppendFloat(buf, v)
 	}
 	return append(buf, ']')
 }

@@ -124,6 +124,13 @@ func (h *HeldLog) Release() {
 // MemLog is the in-memory audit trail: a RecordSink that keeps a copy of
 // every record it receives. Its methods are safe on a nil *MemLog, which
 // reads as an empty trail.
+//
+// The trail grows by doubling its capacity, so n records allocate under
+// 4n records in all and copy under 2n; append's own growth, 1.25× once a
+// slice is large, heads for 5n allocated and 4n copied. The price is up
+// to n records of spare capacity. A long-lived daemon should attach a
+// durable trail instead (Session.SetAuditSink), which keeps nothing in
+// memory.
 type MemLog struct {
 	mu   sync.Mutex
 	recs []Record
@@ -132,12 +139,20 @@ type MemLog struct {
 // Record implements RecordSink.
 func (m *MemLog) Record(recs []Record) {
 	m.mu.Lock()
+	if n := len(m.recs) + len(recs); n > cap(m.recs) {
+		grown := make([]Record, len(m.recs), max(2*cap(m.recs), n))
+		copy(grown, m.recs)
+		m.recs = grown
+	}
 	m.recs = append(m.recs, recs...)
 	m.mu.Unlock()
 }
 
 // Log returns the recorded microtasks in purchase order. The slice is
-// shared; callers must not modify it. Records of one pair are always in
+// shared; callers must not modify it. Its capacity is capped at its
+// length, so an append by the caller copies instead of writing into the
+// trail's spare capacity, where later records land; a slice once
+// returned never changes. Records of one pair are always in
 // purchase order, which is all replay needs. Across pairs, a
 // deterministic wave logs in chain order at any parallelism (HoldLog);
 // elsewhere concurrent purchases log in the order they actually
@@ -148,7 +163,7 @@ func (m *MemLog) Log() []Record {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.recs
+	return m.recs[:len(m.recs):len(m.recs)]
 }
 
 // WriteLog serializes the trail as a JSON array.

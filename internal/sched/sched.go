@@ -70,7 +70,7 @@ type queued struct {
 // inline (sequential mode).
 type Scheduler struct {
 	workers int
-	busyNs  atomic.Int64 // wall-clock ns workers spent inside Task.Run
+	busyNs  atomic.Int64 // wall-clock ns workers spent inside Task.Run (instrumented only)
 	tasks   atomic.Int64 // tasks executed (pool and inline)
 
 	// ins is the pre-resolved metric bundle; nil when telemetry is off
@@ -121,7 +121,9 @@ func (s *Scheduler) Workers() int { return s.workers }
 
 // BusyNs returns the cumulative wall-clock nanoseconds pool workers spent
 // executing tasks — the numerator of pool utilization
-// (busy / (wall × workers)). Inline execution does not count.
+// (busy / (wall × workers)). It counts only while instruments are wired
+// (SetInstruments), since timing every task costs two clock reads; an
+// uninstrumented pool reads 0. Inline execution does not count.
 func (s *Scheduler) BusyNs() int64 { return s.busyNs.Load() }
 
 // Tasks returns how many tasks have been executed.
@@ -464,9 +466,13 @@ func (s *Scheduler) worker() {
 		q.rounds = append(q.rounds, t.Round)
 		s.mu.Unlock()
 
-		start := time.Now()
-		t.Run()
-		s.busyNs.Add(time.Since(start).Nanoseconds())
+		if s.ins != nil {
+			start := time.Now()
+			t.Run()
+			s.busyNs.Add(time.Since(start).Nanoseconds())
+		} else {
+			t.Run()
+		}
 		s.tasks.Add(1)
 
 		// Bookkeeping strictly before delivery: the driver may resubmit

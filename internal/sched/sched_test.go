@@ -375,17 +375,30 @@ func TestCancelInlineMode(t *testing.T) {
 	}
 }
 
-// TestBusyNsTracksPoolWork: pool utilization accounting accumulates the
-// wall-clock time spent inside tasks.
+// TestBusyNsTracksPoolWork: with instruments wired, pool utilization
+// accounting accumulates the wall-clock time spent inside tasks; without
+// them the pool does not time its tasks at all.
 func TestBusyNsTracksPoolWork(t *testing.T) {
-	s := New(2)
-	q := s.Open()
-	defer q.Close()
-	for tag := int64(0); tag < 4; tag++ {
-		q.Submit(Task{Tag: tag, Run: func() { time.Sleep(2 * time.Millisecond) }})
+	run := func(s *Scheduler) {
+		q := s.Open()
+		defer q.Close()
+		for tag := int64(0); tag < 4; tag++ {
+			q.Submit(Task{Tag: tag, Run: func() { time.Sleep(2 * time.Millisecond) }})
+		}
+		q.Drain(4)
 	}
-	q.Drain(4)
+	s := New(2)
+	s.SetInstruments(NewInstruments(obs.NewRegistry()))
+	run(s)
 	if got := s.BusyNs(); got < (4 * time.Millisecond).Nanoseconds() {
 		t.Fatalf("BusyNs = %d, want at least 4ms of tracked work", got)
+	}
+	bare := New(2)
+	run(bare)
+	if got := bare.BusyNs(); got != 0 {
+		t.Fatalf("uninstrumented BusyNs = %d, want 0", got)
+	}
+	if got := bare.Tasks(); got != 4 {
+		t.Fatalf("uninstrumented Tasks = %d, want 4", got)
 	}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"container/heap"
 	"encoding/json"
 	"fmt"
@@ -10,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"crowdtopk/internal/jsonl"
 )
 
 // JournalEntry is one line of the query journal: a query was accepted,
@@ -38,7 +39,7 @@ type Journal interface {
 // FileJournal is the JSONL Journal: one entry per line, fsync per entry
 // (queries are rare next to microtasks; per-entry durability is cheap at
 // this rate). A torn final line — crash mid-append — is tolerated on
-// reload; corruption mid-file is refused, mirroring jstore.
+// reload; corruption mid-file is refused.
 type FileJournal struct {
 	mu sync.Mutex
 	f  *os.File
@@ -52,28 +53,22 @@ func OpenFileJournal(path string) (*FileJournal, []JournalEntry, error) {
 		return nil, nil, fmt.Errorf("service: journal: %w", err)
 	}
 	var entries []JournalEntry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	bad := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	bad, err := jsonl.Read(f, func(line []byte) bool {
 		var e JournalEntry
 		if err := json.Unmarshal(line, &e); err != nil || (e.Op != "accept" && e.Op != "finish") || e.ID == "" {
-			bad++
-			continue
-		}
-		if bad > 0 {
-			f.Close()
-			return nil, nil, fmt.Errorf("service: journal %s: corrupt entry mid-file (%d bad lines before a valid one)", path, bad)
+			return false
 		}
 		entries = append(entries, e)
+		return true
+	})
+	if bad > 0 {
+		err = fmt.Errorf("service: journal %s: corrupt entry mid-file (%d bad lines before a valid one)", path, bad)
+	} else if err != nil {
+		err = fmt.Errorf("service: journal %s: %w", path, err)
 	}
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("service: journal %s: %w", path, err)
+		return nil, nil, err
 	}
 	if _, err := f.Seek(0, 2); err != nil {
 		f.Close()

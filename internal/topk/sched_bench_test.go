@@ -7,6 +7,8 @@ import (
 
 	"crowdtopk/internal/compare"
 	"crowdtopk/internal/crowd"
+	"crowdtopk/internal/obs"
+	"crowdtopk/internal/sched"
 )
 
 // stragglerOracle simulates crowd latency: every microtask blocks its
@@ -72,6 +74,7 @@ func BenchmarkSchedulerStraggler(b *testing.B) {
 				r := compare.NewRunner(eng, compare.NewStudent(0.05), compare.Params{
 					B: 100, I: 20, Step: 20, Parallelism: workers, Async: mode.async,
 				})
+				r.Sched().SetInstruments(sched.NewInstruments(obs.NewRegistry())) // BusyNs counts only when wired
 				reqs := make([][2]int, pairs)
 				for t := 0; t < pairs; t++ {
 					reqs[t] = [2]int{t, t + pairs}
