@@ -136,9 +136,11 @@ policy-race:
 # randomized platform fault schedules against the resilience layer, the
 # O(1)-seeded source against math/rand's stream, the histogram's guided
 # CDF search against a binary search, the resilient adapter's owed
-# counts against a map-based reference, and the judgment store's line
-# encoder against json.Marshal. Go runs one -fuzz target per invocation,
-# hence one command each.
+# counts against a map-based reference, the judgment store's line
+# encoder against json.Marshal, the audit-log segment parser on raw
+# bytes, and the audit-log directory contract (Load and Open refuse
+# exactly what Verify flags, naming its first bad file). Go runs one
+# -fuzz target per invocation, hence one command each.
 fuzz:
 	$(GO) test ./internal/topk/ -run '^$$' -fuzz FuzzCompareAllGrouping -fuzztime 30s
 	$(GO) test ./internal/topk/ -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 30s
@@ -146,6 +148,8 @@ fuzz:
 	$(GO) test ./internal/dataset/ -run '^$$' -fuzz FuzzHistogramCDF -fuzztime 30s
 	$(GO) test ./internal/crowd/ -run '^$$' -fuzz FuzzResilientBookkeeping -fuzztime 30s
 	$(GO) test ./internal/jstore/ -run '^$$' -fuzz FuzzRecordJSON -fuzztime 30s
+	$(GO) test ./internal/auditlog/ -run '^$$' -fuzz FuzzSegmentReload -fuzztime 30s
+	$(GO) test ./internal/auditlog/ -run '^$$' -fuzz FuzzDirectoryVerdict -fuzztime 30s
 
 # Repeat the lazy pair-stream, engine stream golden, resilient-adapter,
 # engine identity table, in-memory trail growth (allocation guard, order

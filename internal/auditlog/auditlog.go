@@ -181,8 +181,9 @@ type Log struct {
 // Open acquires the directory (creating it if needed), recovers from any
 // crash it finds — truncating a torn active tail, discarding
 // half-finished folds, deleting already-folded leftovers — and starts
-// the background committer. It refuses directories whose damage
-// truncation cannot explain; run Verify to localize such damage.
+// the background committer. It refuses exactly the directories Verify
+// flags, naming the first damaged file and changing none of the log's
+// files.
 func Open(dir string, o Options) (*Log, error) {
 	o = o.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -99,6 +99,7 @@ func TestCrashAtEveryIOStep(t *testing.T) {
 					t.Fatalf("crash at %s step %d reads as tamper: firstBad=%s elements=%+v",
 						h.DiedOp.Load(), kill, rep.FirstBad, rep.Elements)
 				}
+				sameVerdict(t, dir)
 				// …and a fresh Open must recover it without hooks.
 				l, err := Open(dir, Options{SegmentMaxRecords: 4, CompactEvery: 2, Sync: SyncOff})
 				if err != nil {
@@ -143,6 +144,71 @@ func TestCrashAtEveryIOStep(t *testing.T) {
 	}
 }
 
+// TestCrashDuringRecovery kills the writer a second time, inside the
+// Open that recovers from the first crash: its manifest rewrite and the
+// fresh segment it opens are io steps too. A crash between a seal and
+// its manifest write followed by one in recovery's openSegment leaves a
+// sealed, unpinned segment with a successor after it; that and every
+// other doubly crashed directory must verify clean and reopen.
+func TestCrashDuringRecovery(t *testing.T) {
+	base := t.TempDir()
+	probe := &crashHooks{}
+	recs, err := crashScript(filepath.Join(base, "baseline"), probe)
+	if err != nil {
+		t.Fatalf("baseline run failed: %v", err)
+	}
+	opts := Options{SegmentMaxRecords: 4, CompactEvery: 2, Sync: SyncOff, SyncInterval: time.Hour}
+	doubled := 0
+	for kill := int64(1); kill <= probe.Steps(); kill++ {
+		for _, partial := range []int{0, 7} {
+			first := filepath.Join(base, fmt.Sprintf("k%d_p%d", kill, partial))
+			_, _ = crashScript(first, &crashHooks{KillAt: kill, Partial: partial})
+			for again := int64(1); ; again++ {
+				dir := copyDir(t, first)
+				o := opts
+				o.hooks = &crashHooks{KillAt: again, Partial: partial}
+				l, err := Open(dir, o)
+				if !o.hooks.Died() {
+					// Recovery finished before this step: all its steps are covered.
+					if err != nil {
+						t.Fatalf("kill %d/%d: recovery open: %v", kill, partial, err)
+					}
+					l.abandon()
+					break
+				}
+				if err == nil {
+					t.Fatalf("kill %d/%d then %d: open survived its own crash", kill, partial, again)
+				}
+				doubled++
+				how := fmt.Sprintf("kill %d/%d then %s at recovery step %d", kill, partial, o.hooks.DiedOp.Load(), again)
+				sameVerdict(t, dir)
+				rep, err := Verify(dir)
+				if err != nil {
+					t.Fatalf("%s: verify io error: %v", how, err)
+				}
+				if !rep.OK {
+					t.Fatalf("%s reads as tamper: firstBad=%s elements=%+v", how, rep.FirstBad, rep.Elements)
+				}
+				l2, err := Open(dir, opts)
+				if err != nil {
+					t.Fatalf("%s: reopen: %v", how, err)
+				}
+				got, err := Load(dir)
+				if err != nil {
+					t.Fatalf("%s: load: %v", how, err)
+				}
+				isPairPrefix(t, recs, got)
+				if err := l2.Close(); err != nil {
+					t.Fatalf("%s: close: %v", how, err)
+				}
+			}
+		}
+	}
+	if doubled < 100 {
+		t.Fatalf("only %d doubly crashed directories; the script no longer reaches recovery io", doubled)
+	}
+}
+
 // TestTruncateActiveAtEveryOffset models a disk that persisted only a
 // byte prefix of the active segment (power cut under Sync off): for
 // every truncation point, Open must recover the longest whole-record
@@ -172,6 +238,7 @@ func TestTruncateActiveAtEveryOffset(t *testing.T) {
 		if err := os.Truncate(filepath.Join(dir, active), int64(off)); err != nil {
 			t.Fatalf("off %d: %v", off, err)
 		}
+		sameVerdict(t, dir)
 		got, err := Load(dir)
 		if err != nil {
 			t.Fatalf("off %d: load: %v", off, err)

@@ -1,14 +1,6 @@
 package auditlog
 
-import (
-	"encoding/hex"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-
-	"crowdtopk/internal/crowd"
-)
+import "crowdtopk/internal/crowd"
 
 // dirState is the outcome of scanning an audit-log directory: what is
 // live, what is deletable crash debris, and where the chain stands. It
@@ -25,7 +17,8 @@ type dirState struct {
 	lastSeq int
 	// leftovers are files recovery deletes: segments and checkpoints
 	// already folded into the adopted checkpoint, half-finished folds the
-	// manifest never committed to, and orphaned atomic-write temp files.
+	// manifest never committed to, a headerless newborn tail, and
+	// orphaned atomic-write temp files.
 	leftovers []string
 }
 
@@ -54,174 +47,16 @@ func (st *dirState) records() []crowd.Record {
 	return recs
 }
 
-// recoverDir reconstructs the directory's committed state. The manifest
-// is the commit point: a checkpoint it does not name is an incomplete
-// fold (debris), segments at or below the named checkpoint's horizon are
-// folded leftovers, and every sealed segment must agree with both its
-// own seal and the manifest's pinned root. Damage that crash-truncation
-// cannot explain is refused with a *corruptError naming the file.
+// recoverDir returns the directory's recovery plan, or refuses with a
+// *corruptError naming the first file Verify would flag: Open and Load
+// accept exactly the directories Verify passes.
 func recoverDir(dir string) (*dirState, error) {
-	st := &dirState{}
-	man, err := readManifest(dir)
+	rep, st, err := walkDir(dir)
 	if err != nil {
 		return nil, err
 	}
-
-	ckpts, err := listCheckpoints(dir)
-	if err != nil {
+	if err := rep.firstBadErr(); err != nil {
 		return nil, err
-	}
-	upTo := 0
-	if man != nil && man.Checkpoint != nil {
-		doc, sha, err := readCheckpoint(filepath.Join(dir, man.Checkpoint.File))
-		if err != nil {
-			return nil, err
-		}
-		if sha != man.Checkpoint.SHA256 {
-			return nil, &corruptError{file: man.Checkpoint.File, reason: "content does not match the manifest's SHA-256"}
-		}
-		if doc.UpTo != man.Checkpoint.UpTo || doc.Records != man.Checkpoint.Records {
-			return nil, &corruptError{file: man.Checkpoint.File, reason: "horizon or record count disagrees with manifest"}
-		}
-		chain, err := parseChain(doc.Chain)
-		if err != nil {
-			return nil, &corruptError{file: man.Checkpoint.File, reason: err.Error()}
-		}
-		st.ckpt = doc
-		st.manCkpt = man.Checkpoint
-		st.chain = chain
-		st.total = doc.Records
-		upTo = doc.UpTo
-	}
-	for _, seq := range ckpts {
-		if st.manCkpt != nil && checkpointFile(seq) == st.manCkpt.File {
-			continue
-		}
-		if man == nil {
-			// A checkpoint can only be committed through a manifest write;
-			// a checkpoint with no manifest at all is not crash debris.
-			return nil, &corruptError{file: checkpointFile(seq), reason: "checkpoint present but manifest missing"}
-		}
-		// Superseded (fold completed, delete lost) or half-finished (fold
-		// never committed): either way the manifest does not vouch for it.
-		st.leftovers = append(st.leftovers, checkpointFile(seq))
-	}
-
-	manBySeq := map[int]manifestSegment{}
-	if man != nil {
-		for _, e := range man.Segments {
-			manBySeq[e.Seq] = e
-		}
-	}
-
-	seqs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	st.lastSeq = upTo
-	prev := upTo
-	var live []int
-	for _, seq := range seqs {
-		if seq <= upTo {
-			st.leftovers = append(st.leftovers, segmentFile(seq))
-			continue
-		}
-		live = append(live, seq)
-	}
-	for idx, seq := range live {
-		name := segmentFile(seq)
-		if seq != prev+1 {
-			return nil, &corruptError{file: name, reason: fmt.Sprintf("segment gap: expected seq %d next", prev+1)}
-		}
-		ps, err := readSegment(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		if len(ps.leaves) == 0 {
-			// No whole header line survived: the segment died at birth,
-			// before any record could have been acknowledged.
-			if idx != len(live)-1 {
-				return nil, &corruptError{file: name, reason: "headerless segment followed by others"}
-			}
-			st.leftovers = append(st.leftovers, name)
-			break
-		}
-		if ps.header.Seq != seq {
-			return nil, &corruptError{file: name, reason: fmt.Sprintf("header says seq %d", ps.header.Seq)}
-		}
-		if ps.header.Prev != hexChain(st.chain) {
-			return nil, &corruptError{file: name, reason: "header does not chain from predecessor"}
-		}
-		if ps.header.Base != st.total {
-			return nil, &corruptError{file: name, reason: fmt.Sprintf("header base %d, want %d", ps.header.Base, st.total)}
-		}
-		if ps.seal == nil {
-			if idx != len(live)-1 {
-				return nil, &corruptError{file: name, reason: "unsealed segment followed by others"}
-			}
-			if _, pinned := manBySeq[seq]; pinned {
-				// The manifest only pins a segment after its seal is on
-				// disk; an unsealed file here means the seal was cut out.
-				return nil, &corruptError{file: name, reason: "manifest records a seal this segment lacks"}
-			}
-			st.active = ps
-			st.total += int64(len(ps.records))
-			st.lastSeq = seq
-			break
-		}
-		root := merkleRoot(ps.leaves)
-		if ps.seal.Root != hex.EncodeToString(root[:]) {
-			return nil, &corruptError{file: name, reason: "records do not match the seal's Merkle root"}
-		}
-		if ps.seal.Count != len(ps.records) {
-			return nil, &corruptError{file: name, reason: fmt.Sprintf("seal counts %d records, file has %d", ps.seal.Count, len(ps.records))}
-		}
-		next := chainRoot(st.chain, root)
-		if ps.seal.Chain != hexChain(next) {
-			return nil, &corruptError{file: name, reason: "seal's chain value does not extend the predecessor"}
-		}
-		if e, pinned := manBySeq[seq]; pinned {
-			if e.Root != ps.seal.Root || e.Chain != ps.seal.Chain || e.Count != ps.seal.Count || e.Base != ps.header.Base {
-				return nil, &corruptError{file: name, reason: "segment disagrees with the manifest's pinned seal"}
-			}
-		}
-		st.manSegs = append(st.manSegs, manifestSegment{
-			File: name, Seq: seq, Base: ps.header.Base, Count: ps.seal.Count,
-			Root: ps.seal.Root, Chain: ps.seal.Chain,
-		})
-		st.sealed = append(st.sealed, ps)
-		st.chain = next
-		st.total += int64(len(ps.records))
-		st.lastSeq = seq
-		prev = seq
-	}
-	// Every segment the manifest still vouches for must exist: files are
-	// only deleted after a fold raises the checkpoint horizon past them.
-	for seq := range manBySeq {
-		if seq <= upTo {
-			continue
-		}
-		found := false
-		for _, ms := range st.manSegs {
-			if ms.Seq == seq {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, &corruptError{file: segmentFile(seq), reason: "manifest records this sealed segment but the file is gone"}
-		}
-	}
-
-	// Orphaned atomic-write temp files are debris by construction.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("auditlog: %w", err)
-	}
-	for _, ent := range ents {
-		if strings.Contains(ent.Name(), ".tmp-") {
-			st.leftovers = append(st.leftovers, ent.Name())
-		}
 	}
 	return st, nil
 }
@@ -233,9 +68,6 @@ func recoverDir(dir string) (*dirState, error) {
 // directly, so a crashed daemon resumes at zero re-bought microtasks
 // for everything that reached disk.
 func Load(dir string) ([]crowd.Record, error) {
-	if _, err := os.Stat(dir); err != nil {
-		return nil, fmt.Errorf("auditlog: %w", err)
-	}
 	st, err := recoverDir(dir)
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -322,38 +321,4 @@ func segmentHasValidLineAfter(rest []byte) bool {
 		}
 	}
 	return false
-}
-
-// listSegments returns the segment sequence numbers present in dir,
-// ascending.
-func listSegments(dir string) ([]int, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("auditlog: %w", err)
-	}
-	var seqs []int
-	for _, ent := range ents {
-		if seq := segmentSeq(ent.Name()); seq > 0 {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Ints(seqs)
-	return seqs, nil
-}
-
-// listCheckpoints returns the checkpoint horizons present in dir,
-// ascending.
-func listCheckpoints(dir string) ([]int, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("auditlog: %w", err)
-	}
-	var seqs []int
-	for _, ent := range ents {
-		if seq := checkpointSeq(ent.Name()); seq > 0 {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Ints(seqs)
-	return seqs, nil
 }

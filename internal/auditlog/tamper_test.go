@@ -1,6 +1,7 @@
 package auditlog
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -96,6 +97,7 @@ func TestTamperAttributedToSegment(t *testing.T) {
 			if rep.FirstBad != victim {
 				t.Fatalf("first bad = %s, want %s", rep.FirstBad, victim)
 			}
+			sameVerdict(t, dir)
 			for _, el := range rep.Elements {
 				if el.File == victim {
 					if el.OK {
@@ -139,6 +141,7 @@ func TestTamperedCheckpointDetected(t *testing.T) {
 	if rep.OK || rep.FirstBad != victim {
 		t.Fatalf("ok=%v firstBad=%s, want tampered checkpoint %s flagged", rep.OK, rep.FirstBad, victim)
 	}
+	sameVerdict(t, dir)
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("open accepted a tampered checkpoint")
 	}
@@ -176,6 +179,7 @@ func TestTamperedManifestDetected(t *testing.T) {
 	if rep.OK || rep.FirstBad != manifestName {
 		t.Fatalf("ok=%v firstBad=%s, want manifest flagged", rep.OK, rep.FirstBad)
 	}
+	sameVerdict(t, dir)
 }
 
 // TestSealLineTamperDetected rewrites a seal's chain value: the records
@@ -241,5 +245,152 @@ func TestVerifyEmptyDirectory(t *testing.T) {
 	}
 	if !rep.OK {
 		t.Fatal("empty directory should verify clean")
+	}
+}
+
+// sameVerdict is the directory contract in one line: Load refuses a
+// directory exactly when Verify flags damage in it.
+func sameVerdict(t *testing.T, dir string) {
+	t.Helper()
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, lerr := Load(dir); (lerr != nil) != !rep.OK {
+		t.Fatalf("load err %v, but verify ok=%v firstBad=%s", lerr, rep.OK, rep.FirstBad)
+	}
+}
+
+// requireRefused asserts Load and Open both refuse dir, and that the
+// refused Open leaves every file in it (the lock aside) as it was.
+func requireRefused(t *testing.T, dir string) {
+	t.Helper()
+	before := dirFiles(t, dir)
+	if _, err := Load(dir); err == nil {
+		t.Fatal("load accepted a damaged directory")
+	}
+	if l, err := Open(dir, Options{}); err == nil {
+		l.Close()
+		t.Fatal("open accepted a damaged directory")
+	}
+	sameFiles(t, "after a refused open", before, dirFiles(t, dir))
+}
+
+// TestTamperManifestRemoved deletes the manifest of a sealed directory.
+// No crash leaves sealed segments without one, so Verify names the
+// manifest and Open refuses rather than writing a fresh manifest that
+// would vouch for whatever the segments now hold.
+func TestTamperManifestRemoved(t *testing.T) {
+	src, _ := buildSealedDir(t)
+	dir := copyDir(t, src)
+	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK || rep.FirstBad != manifestName {
+		t.Fatalf("ok=%v firstBad=%s, want %s flagged", rep.OK, rep.FirstBad, manifestName)
+	}
+	sameVerdict(t, dir)
+	requireRefused(t, dir)
+}
+
+// TestTamperPinDropped removes a middle segment's pin from the manifest.
+// The file itself is intact, but the manifest no longer vouches for it:
+// Verify flags it and Open refuses rather than resume from it.
+func TestTamperPinDropped(t *testing.T) {
+	src, names := buildSealedDir(t)
+	dir := copyDir(t, src)
+	victim := names[1]
+	man, err := readManifest(dir)
+	if err != nil || man == nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	var kept []manifestSegment
+	for _, e := range man.Segments {
+		if e.File != victim {
+			kept = append(kept, e)
+		}
+	}
+	if len(kept) != len(man.Segments)-1 {
+		t.Fatalf("%s is not pinned in the manifest", victim)
+	}
+	man.Segments = kept
+	data, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := false
+	for _, el := range rep.Elements {
+		flagged = flagged || (el.File == victim && !el.OK)
+	}
+	if rep.OK || !flagged {
+		t.Fatalf("ok=%v firstBad=%s elements=%+v, want %s flagged", rep.OK, rep.FirstBad, rep.Elements, victim)
+	}
+	sameVerdict(t, dir)
+	requireRefused(t, dir)
+}
+
+// TestTamperManifestValues edits one value the manifest vouches with —
+// a pinned chain head, a pinned base, the checkpoint's chain — where no
+// later file would expose it by failing to chain. The element the value
+// vouches for is flagged, and Open and Load refuse.
+func TestTamperManifestValues(t *testing.T) {
+	sealed, names := buildSealedDir(t)
+	folded := t.TempDir()
+	l, err := Open(folded, Options{SegmentMaxRecords: 8, CompactEvery: 2, Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, mkRecords(64))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	other := hexChain(chainRoot(genesisChain, genesisChain))
+	for _, tc := range []struct {
+		name, src, victim string
+		edit              func(m *manifest)
+	}{
+		{"last pin's chain", sealed, names[len(names)-1], func(m *manifest) { m.Segments[len(m.Segments)-1].Chain = other }},
+		{"first pin's base", sealed, names[0], func(m *manifest) { m.Segments[0].Base = 1 }},
+		{"checkpoint chain", folded, "", func(m *manifest) { m.Checkpoint.Chain = other }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := copyDir(t, tc.src)
+			man, err := readManifest(dir)
+			if err != nil || man == nil {
+				t.Fatalf("manifest: %v", err)
+			}
+			victim := tc.victim
+			if victim == "" {
+				victim = man.Checkpoint.File
+			}
+			tc.edit(man)
+			data, err := json.Marshal(man)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Verify(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.OK || rep.FirstBad != victim {
+				t.Fatalf("ok=%v firstBad=%s, want %s flagged", rep.OK, rep.FirstBad, victim)
+			}
+			sameVerdict(t, dir)
+			requireRefused(t, dir)
+		})
 	}
 }

@@ -1,11 +1,13 @@
 package auditlog
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 )
 
 // ElementReport is the verification verdict for one file in the
@@ -44,6 +46,17 @@ func (r *VerifyReport) flag(er ElementReport) {
 	}
 }
 
+// firstBadErr is the damage Open and Load refuse with: the first bad
+// element's file and detail, or nil for an intact directory.
+func (r *VerifyReport) firstBadErr() error {
+	for _, er := range r.Elements {
+		if !er.OK {
+			return &corruptError{file: er.File, reason: er.Detail}
+		}
+	}
+	return nil
+}
+
 // Verify audits dir against its manifest: the checkpoint's SHA-256, each
 // pinned segment's Merkle root and chain linkage, and the active tail's
 // chain anchor. It never modifies the directory and does not take the
@@ -52,212 +65,261 @@ func (r *VerifyReport) flag(er ElementReport) {
 //
 // The returned error is reserved for io-level failures (unreadable
 // directory); integrity problems are reported in the VerifyReport.
+// Open and Load refuse exactly the directories it flags.
 func Verify(dir string) (*VerifyReport, error) {
-	rep := &VerifyReport{OK: true}
+	rep, _, err := walkDir(dir)
+	return rep, err
+}
+
+// detail renders a read or parse failure as an element verdict.
+func detail(err error) string {
+	var ce *corruptError
+	if errors.As(err, &ce) {
+		return ce.reason
+	}
+	return err.Error()
+}
+
+// walkDir is the one pass that judges an audit-log directory. It returns
+// the per-file verdicts and, alongside them, the recovery plan Open
+// applies when every verdict is good. Crash states — the empty or newborn
+// directory, a torn or headerless tail, a sealed tail the manifest has
+// not pinned yet, folded leftovers, uncommitted checkpoints, temp files
+// — are notes and plan entries, never damage. After a bad element the
+// walk continues from the manifest's claimed chain and record count, so
+// each later file is judged on its own.
+//
+// Walk order: the manifest, its checkpoint, the pinned segments, the
+// tail, then the files the manifest does not vouch for.
+func walkDir(dir string) (*VerifyReport, *dirState, error) {
 	if _, err := os.Stat(dir); err != nil {
-		return nil, fmt.Errorf("auditlog: %w", err)
+		return nil, nil, fmt.Errorf("auditlog: %w", err)
 	}
-	man, err := readManifest(dir)
+	// The manifest is read before the listing: a live writer creates a
+	// segment before the manifest names it, so every file a manifest
+	// names is already listed.
+	man, merr := readManifest(dir)
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		rep.flag(ElementReport{File: manifestName, OK: false, Detail: err.Error()})
-		return rep, nil
+		return nil, nil, fmt.Errorf("auditlog: %w", err)
 	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
+	rep := &VerifyReport{OK: true}
+	st := &dirState{}
+	var segs []int
+	var ckpts []string
+	for _, ent := range ents {
+		name := ent.Name()
+		switch {
+		case strings.Contains(name, ".tmp-"):
+			rep.Notes = append(rep.Notes, name+": orphaned temp file (crash debris, recovery deletes it)")
+			st.leftovers = append(st.leftovers, name)
+		case segmentSeq(name) > 0:
+			segs = append(segs, segmentSeq(name))
+		case checkpointSeq(name) > 0:
+			ckpts = append(ckpts, name)
+		}
 	}
-	ckpts, err := listCheckpoints(dir)
-	if err != nil {
-		return nil, err
+	sort.Ints(segs)
+	present := map[int]bool{}
+	for _, s := range segs {
+		present[s] = true
+	}
+
+	if merr != nil {
+		rep.flag(ElementReport{File: manifestName, Detail: detail(merr)})
+		return rep, st, nil
 	}
 	if man == nil {
+		// The only manifest-less states a crash can produce: nothing yet,
+		// or death during the very first openSegment, before any record
+		// existed — one empty, unsealed genesis segment.
 		if len(segs) == 0 && len(ckpts) == 0 {
 			rep.Notes = append(rep.Notes, "empty directory: nothing to verify")
-			return rep, nil
+			return rep, st, nil
 		}
-		// The only manifest-less state a crash can produce: death during
-		// the very first openSegment, before any record existed. The dir
-		// then holds exactly one empty, unsealed genesis segment.
-		if len(ckpts) == 0 && len(segs) == 1 && segs[0] == 1 {
-			ps, perr := readSegment(filepath.Join(dir, segmentFile(1)))
-			if perr == nil && ps.seal == nil && len(ps.records) == 0 &&
-				(len(ps.leaves) == 0 || (ps.header.Prev == "" && ps.header.Base == 0)) {
-				rep.Notes = append(rep.Notes, segmentFile(1)+": newborn genesis segment with no manifest yet (crash-normal; recovery adopts or deletes it)")
-				return rep, nil
+		if len(segs) == 1 && segs[0] == 1 && len(ckpts) == 0 {
+			name := segmentFile(1)
+			ps, err := readSegment(filepath.Join(dir, name))
+			if err == nil && ps.seal == nil && len(ps.records) == 0 &&
+				(len(ps.leaves) == 0 || judgeSegment(ps, 1, genesisChain, 0) == "") {
+				rep.Notes = append(rep.Notes, name+": newborn genesis segment with no manifest yet (crash-normal; recovery adopts or deletes it)")
+				if len(ps.leaves) == 0 {
+					st.leftovers = append(st.leftovers, name)
+				} else {
+					st.active, st.lastSeq = ps, 1
+				}
+				return rep, st, nil
 			}
 		}
-		rep.flag(ElementReport{File: manifestName, OK: false, Detail: "manifest missing but log files present"})
-		return rep, nil
+		rep.flag(ElementReport{File: manifestName, Detail: "manifest missing but log files present"})
+		return rep, st, nil
 	}
 
-	chain := genesisChain
-	upTo := 0
-	covered := map[int]bool{}
-
-	if man.Checkpoint != nil {
-		er := ElementReport{File: man.Checkpoint.File, Seq: man.Checkpoint.UpTo, Sealed: true, OK: true}
-		upTo = man.Checkpoint.UpTo
-		data, rerr := os.ReadFile(filepath.Join(dir, man.Checkpoint.File))
+	chain, upTo := genesisChain, 0
+	if c := man.Checkpoint; c != nil {
+		upTo = c.UpTo
+		er := ElementReport{File: c.File, Seq: c.UpTo, Sealed: true}
+		doc, sum, err := readCheckpoint(filepath.Join(dir, c.File))
 		switch {
-		case rerr != nil:
-			er.OK = false
-			er.Detail = rerr.Error()
+		case err != nil:
+			er.Detail = detail(err)
+		case sum != c.SHA256:
+			er.Detail = "content does not match the manifest's SHA-256"
+		case doc.UpTo != c.UpTo || doc.Records != c.Records || doc.Chain != c.Chain:
+			er.Detail = "horizon, record count or chain disagrees with manifest"
 		default:
-			sum := sha256.Sum256(data)
-			if hex.EncodeToString(sum[:]) != man.Checkpoint.SHA256 {
-				er.OK = false
-				er.Detail = "content does not match the manifest's SHA-256"
-				break
-			}
-			doc, _, perr := readCheckpoint(filepath.Join(dir, man.Checkpoint.File))
-			if perr != nil {
-				er.OK = false
-				er.Detail = perr.Error()
-				break
-			}
-			if doc.UpTo != man.Checkpoint.UpTo || doc.Records != man.Checkpoint.Records {
-				er.OK = false
-				er.Detail = "horizon or record count disagrees with manifest"
-				break
-			}
-			er.Records = int(doc.Records)
+			er.OK, er.Records = true, int(doc.Records)
+			st.ckpt = doc
+		}
+		if chain, err = parseChain(c.Chain); err != nil {
+			er.OK, er.Detail = false, err.Error()
 		}
 		rep.flag(er)
-		// Continue from the manifest's claimed chain either way, so later
-		// segments are still individually attributable.
-		if c, perr := parseChain(man.Checkpoint.Chain); perr == nil {
-			chain = c
+		st.manCkpt, st.total = c, c.Records
+	}
+	st.lastSeq = upTo
+	covered := map[int]bool{}
+	read := func(seq int) (*parsedSegment, string) {
+		covered[seq] = true
+		if !present[seq] {
+			return nil, "the manifest names this segment but the file is gone"
 		}
+		ps, err := readSegment(filepath.Join(dir, segmentFile(seq)))
+		if err != nil {
+			return nil, detail(err)
+		}
+		return ps, ""
 	}
 
 	for _, e := range man.Segments {
-		covered[e.Seq] = true
-		er := verifySealedSegment(dir, e, chain)
+		name := segmentFile(e.Seq)
+		er := ElementReport{File: name, Seq: e.Seq, Sealed: true}
+		ps, bad := read(e.Seq)
+		switch {
+		case bad != "":
+			er.Detail = bad
+		case ps.seal == nil && ps.torn:
+			er.Detail = "sealed segment is truncated"
+		case ps.seal == nil:
+			er.Detail = "manifest records a seal this segment lacks"
+		default:
+			er.Detail = judgeSegment(ps, e.Seq, chain, st.total)
+			if er.Detail == "" && (e.Root != ps.seal.Root || e.Chain != ps.seal.Chain || e.Count != ps.seal.Count || e.Base != ps.header.Base) {
+				er.Detail = "segment disagrees with the manifest's pinned seal"
+			}
+		}
+		if er.OK = er.Detail == ""; er.OK {
+			er.Records = len(ps.records)
+			st.sealed = append(st.sealed, ps)
+		}
 		rep.flag(er)
+		e.File = name
+		st.manSegs = append(st.manSegs, e)
 		if c, perr := parseChain(e.Chain); perr == nil {
 			chain = c
 		}
+		st.total, st.lastSeq = e.Base+int64(e.Count), e.Seq
 	}
 
-	// The active tail: unsealed (normal), sealed-but-unpinned (crash
-	// between seal and manifest write), or a bare header. When the
-	// manifest names no active segment — a crash landed between sealing
-	// one segment and registering its successor — the chain-consecutive
-	// successor file, if present, is still a tail, not tamper.
-	tailSeq := man.ActiveSeq
-	required := tailSeq > 0 // the manifest promises this file exists
-	if tailSeq == 0 {
-		lastPinned := upTo
-		if n := len(man.Segments); n > 0 {
-			lastPinned = man.Segments[n-1].Seq
-		}
-		tailSeq = lastPinned + 1
+	// The tail: unsealed (normal), a bare header, or sealed but not yet
+	// pinned (a crash between seal and manifest write), in which case it
+	// is adopted and its successor, if present, is the tail in turn. When
+	// the manifest names no active segment, the chain-consecutive
+	// successor of the last pin is the tail if it exists.
+	seq := man.ActiveSeq
+	required := seq > 0 // the manifest promises this file exists
+	if seq == 0 {
+		seq = st.lastSeq + 1
 	}
-	if tailSeq > 0 && !covered[tailSeq] {
-		name := segmentFile(tailSeq)
-		_, serr := os.Stat(filepath.Join(dir, name))
-		if serr == nil || required {
-			covered[tailSeq] = true
-			er := ElementReport{File: name, Seq: tailSeq, OK: true}
-			ps, perr := readSegment(filepath.Join(dir, name))
-			switch {
-			case perr != nil:
-				er.OK = false
-				er.Detail = perr.Error()
-			case len(ps.leaves) == 0:
-				rep.Notes = append(rep.Notes, name+": headerless newborn segment (crash debris, recovery deletes it)")
-				er.Detail = "headerless"
-			case ps.header.Seq != tailSeq:
-				er.OK = false
-				er.Detail = fmt.Sprintf("header says seq %d", ps.header.Seq)
-			case ps.header.Prev != hexChain(chain):
-				er.OK = false
-				er.Detail = "header does not chain from predecessor"
-			default:
-				er.Records = len(ps.records)
-				if ps.seal != nil {
-					er.Sealed = true
-					root := merkleRoot(ps.leaves)
-					next := chainRoot(chain, root)
-					if ps.seal.Root != hex.EncodeToString(root[:]) || ps.seal.Chain != hexChain(next) || ps.seal.Count != len(ps.records) {
-						er.OK = false
-						er.Detail = "seal does not match segment content"
-					} else {
-						rep.Notes = append(rep.Notes, name+": sealed but not yet pinned in manifest (crash between seal and manifest write)")
-					}
-				} else if ps.torn {
-					rep.Notes = append(rep.Notes, fmt.Sprintf("%s: torn tail after %d records (crash-normal; recovery truncates)", name, len(ps.records)))
-				}
+	for !covered[seq] && (present[seq] || required) {
+		name := segmentFile(seq)
+		er := ElementReport{File: name, Seq: seq}
+		ps, bad := read(seq)
+		if bad == "" && len(ps.leaves) == 0 {
+			// No whole header line survived: the segment died at birth,
+			// before any record could have been acknowledged.
+			rep.Notes = append(rep.Notes, name+": headerless newborn segment (crash debris, recovery deletes it)")
+			er.OK, er.Detail = true, "headerless"
+			rep.flag(er)
+			st.leftovers = append(st.leftovers, name)
+			break
+		}
+		if er.Detail = bad; bad == "" {
+			er.Detail = judgeSegment(ps, seq, chain, st.total)
+		}
+		if er.OK = er.Detail == ""; !er.OK {
+			rep.flag(er)
+			break
+		}
+		er.Records = len(ps.records)
+		st.total += int64(len(ps.records))
+		st.lastSeq = seq
+		if ps.seal == nil {
+			if ps.torn {
+				rep.Notes = append(rep.Notes, fmt.Sprintf("%s: torn tail after %d records (crash-normal; recovery truncates)", name, len(ps.records)))
 			}
 			rep.flag(er)
+			st.active = ps
+			break
 		}
+		er.Sealed = true
+		rep.flag(er)
+		rep.Notes = append(rep.Notes, name+": sealed but not yet pinned in manifest (crash between seal and manifest write)")
+		st.sealed = append(st.sealed, ps)
+		st.manSegs = append(st.manSegs, manifestSegment{
+			File: name, Seq: seq, Base: ps.header.Base, Count: ps.seal.Count,
+			Root: ps.seal.Root, Chain: ps.seal.Chain,
+		})
+		chain, _ = parseChain(ps.seal.Chain) // judgeSegment matched it to the recomputed chain
+		seq++
+		required = false
 	}
+	st.chain = chain
 
 	// Files the manifest does not vouch for.
-	for _, seq := range segs {
-		if covered[seq] {
-			continue
+	for _, s := range segs {
+		switch {
+		case covered[s]:
+		case s <= upTo:
+			rep.Notes = append(rep.Notes, segmentFile(s)+": folded leftover (crash debris, recovery deletes it)")
+			st.leftovers = append(st.leftovers, segmentFile(s))
+		default:
+			rep.flag(ElementReport{File: segmentFile(s), Seq: s, Detail: "segment not recorded in manifest"})
 		}
-		if seq <= upTo {
-			rep.Notes = append(rep.Notes, segmentFile(seq)+": folded leftover (crash debris, recovery deletes it)")
-			continue
-		}
-		rep.flag(ElementReport{File: segmentFile(seq), Seq: seq, OK: false, Detail: "segment not recorded in manifest"})
 	}
-	for _, seq := range ckpts {
-		name := checkpointFile(seq)
-		if man.Checkpoint != nil && man.Checkpoint.File == name {
-			continue
+	for _, name := range ckpts {
+		if man.Checkpoint == nil || name != man.Checkpoint.File {
+			rep.Notes = append(rep.Notes, name+": checkpoint not committed by manifest (crash debris, recovery deletes it)")
+			st.leftovers = append(st.leftovers, name)
 		}
-		rep.Notes = append(rep.Notes, name+": checkpoint not committed by manifest (crash debris, recovery deletes it)")
 	}
-	return rep, nil
+	return rep, st, nil
 }
 
-// verifySealedSegment audits one manifest-pinned segment: existence,
-// parse, seal present, recomputed Merkle root matching both the seal and
-// the manifest, and chain linkage from the predecessor.
-func verifySealedSegment(dir string, e manifestSegment, chain [32]byte) ElementReport {
-	er := ElementReport{File: e.File, Seq: e.Seq, Sealed: true, OK: true}
-	ps, err := readSegment(filepath.Join(dir, e.File))
-	if err != nil {
-		er.OK = false
-		er.Detail = err.Error()
-		return er
-	}
-	if ps.seal == nil {
-		er.OK = false
-		if ps.torn {
-			er.Detail = "sealed segment is truncated"
-		} else {
-			er.Detail = "manifest records a seal this segment lacks"
-		}
-		return er
-	}
-	if ps.header.Seq != e.Seq || ps.header.Base != e.Base {
-		er.OK = false
-		er.Detail = "header disagrees with manifest"
-		return er
-	}
-	if ps.header.Prev != hexChain(chain) {
-		er.OK = false
-		er.Detail = "header does not chain from predecessor"
-		return er
+// judgeSegment checks a parsed segment against the place in the chain it
+// must occupy — sequence number, predecessor chain value and base index
+// — and, when sealed, checks the seal against the recomputed Merkle root,
+// the record count and the extended chain. It returns "" for a good
+// segment, otherwise the reason it is bad.
+func judgeSegment(ps *parsedSegment, seq int, chain [32]byte, base int64) string {
+	switch {
+	case ps.header.Seq != seq:
+		return fmt.Sprintf("header says seq %d", ps.header.Seq)
+	case ps.header.Prev != hexChain(chain):
+		return "header does not chain from predecessor"
+	case ps.header.Base != base:
+		return fmt.Sprintf("header base %d, want %d", ps.header.Base, base)
+	case ps.seal == nil:
+		return ""
 	}
 	root := merkleRoot(ps.leaves)
-	next := chainRoot(chain, root)
 	switch {
-	case hex.EncodeToString(root[:]) != e.Root || ps.seal.Root != e.Root:
-		er.OK = false
-		er.Detail = "records do not match the pinned Merkle root"
-	case ps.seal.Count != len(ps.records) || e.Count != len(ps.records):
-		er.OK = false
-		er.Detail = fmt.Sprintf("record count %d disagrees with seal/manifest", len(ps.records))
-	case ps.seal.Chain != e.Chain || hexChain(next) != e.Chain:
-		er.OK = false
-		er.Detail = "chain value does not extend the predecessor"
-	default:
-		er.Records = len(ps.records)
+	case ps.seal.Root != hex.EncodeToString(root[:]):
+		return "records do not match the seal's Merkle root"
+	case ps.seal.Count != len(ps.records):
+		return fmt.Sprintf("seal counts %d records, file has %d", ps.seal.Count, len(ps.records))
+	case ps.seal.Chain != hexChain(chainRoot(chain, root)):
+		return "seal's chain value does not extend the predecessor"
 	}
-	return er
+	return ""
 }

@@ -15,8 +15,9 @@
 //     one-sided bound t_{α,n−1} (§3.1).
 //   - stein: Algorithm 5 (STEINCOMP). Stein's two-stage estimation recast
 //     progressively: stop as soon as S²·L⁻²·t²_{1−α/2,n−1} ≤ n with
-//     L = |x̄| − ε, i.e. the Stein interval of half-width just under |x̄|
-//     is supported by the current sample size.
+//     L = |x̄| − ε. That is t·S/√n ≤ |x̄| − ε, Student's interval test up
+//     to ε = 1e-9, so stein runs Student's rule under its own name
+//     (TestSteinIsStudent keeps the paper's form as the reference).
 //   - hoeffding: the pairwise *binary* judgment model of Busa-Fekete et
 //     al., using the distribution-free Hoeffding interval over ±1 votes.
 //     It needs no normality assumption but requires far larger workloads
@@ -29,12 +30,12 @@
 // The first five run the paper's fixed schedule: the cold-start workload
 // I, then batches of η, both read from the Runner's Params.
 //
-// Every policy but stein stops on one interval rule: conclude when
-// mean ± half-width excludes 0. They differ only in the half-width (the
-// t, normal or anytime Hoeffding interval) and in the evidence floor below
-// which they do not test. Stein races a data-dependent width against |x̄|
-// instead. HalfWidth is part of Policy, so every comparison span records
-// its confidence trajectory and every explain leaf its final width.
+// Every policy stops on one interval rule: conclude when mean ±
+// half-width excludes 0. They differ only in the half-width (the t,
+// normal or anytime Hoeffding interval) and in the evidence floor below
+// which they do not test. HalfWidth is part of Policy, so every comparison
+// span records its confidence trajectory and every explain leaf its final
+// width.
 //
 // A Runner binds a policy to a crowd.Engine and adds the paper's execution
 // machinery: minimum initial workload I, per-pair budget B, batch step η

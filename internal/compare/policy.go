@@ -84,7 +84,7 @@ type Policy interface {
 	HalfWidth(v crowd.BagView) float64
 }
 
-// interval is the stopping rule every policy but Stein shares: conclude
+// interval is the stopping rule every policy shares: conclude
 // when the interval mean ± half excludes 0. Callers apply their own
 // evidence floor first, so half is always finite here; Runner.Leaning
 // applies it at zero width.
@@ -227,49 +227,15 @@ func tHalfWidth(tt *stats.TTable, v crowd.BagView) float64 {
 	return tt.Critical(v.N-1) * v.SD / math.Sqrt(float64(v.N))
 }
 
-// Stein implements Algorithm 5 (STEINCOMP): Stein's estimation recast as a
-// progressive stopping rule. The target interval half-width L is kept just
-// below |x̄| so that the interval always excludes 0; the rule stops as soon
-// as the current sample size supports that width.
-type Stein struct {
-	fixedSchedule
-	tt *stats.TTable
-	// eps is the paper's small positive ε keeping the interval strictly
-	// away from 0.
-	eps float64
-}
-
-// NewStein returns the Stein policy at significance level alpha.
-func NewStein(alpha float64) *Stein {
-	return &Stein{tt: stats.NewTTable(alpha), eps: 1e-9}
-}
-
-// Name implements Policy.
-func (s *Stein) Name() string { return "stein" }
-
-// HalfWidth implements Policy. Stein's rule targets a data-dependent
-// width L rather than a fixed one; the reported trajectory is the plain
-// t-interval half-width of the current bag, the quantity the rule is
-// racing against |x̄|.
-func (s *Stein) HalfWidth(v crowd.BagView) float64 { return tHalfWidth(s.tt, v) }
-
-// Test implements Policy.
-func (s *Stein) Test(v crowd.BagView) Outcome {
-	if v.N < 2 {
-		return Tie
-	}
-	l := math.Abs(v.Mean) - s.eps
-	if l <= 0 {
-		return Tie
-	}
-	t := s.tt.Critical(v.N - 1)
-	if v.SD*v.SD/(l*l)*t*t > float64(v.N) {
-		return Tie // workload not yet sufficient for width L
-	}
-	if v.Mean > 0 {
-		return FirstWins
-	}
-	return SecondWins
+// NewStein returns Algorithm 5 (STEINCOMP) at significance level alpha.
+// Stein's estimation recast as a stopping rule keeps the target
+// half-width L = |x̄| − ε just inside |x̄| and stops once
+// S²t²/L² ≤ n, i.e. once t·S/√n ≤ |x̄| − ε: Student's interval test up
+// to the paper's ε = 1e-9. So "stein" runs Student's rule under its own
+// name, which keeps its labels and its side of the memo and store trust
+// rule.
+func NewStein(alpha float64) *Student {
+	return &Student{tt: stats.NewTTable(alpha), name: "stein"}
 }
 
 // anytimeAlpha splits a significance level over doubling epochs so the

@@ -193,6 +193,66 @@ func TestSteinDecisionRule(t *testing.T) {
 	}
 }
 
+// steinRule is Algorithm 5's stopping test as the paper states it: with
+// the target half-width L = |x̄| − ε, stop once S²t²/L² ≤ n and conclude
+// for the sign of x̄. It is kept here as the reference NewStein answers
+// to.
+func steinRule(tt *stats.TTable, v crowd.BagView) Outcome {
+	const eps = 1e-9
+	if v.N < 2 {
+		return Tie
+	}
+	l := math.Abs(v.Mean) - eps
+	if l <= 0 {
+		return Tie
+	}
+	t := tt.Critical(v.N - 1)
+	if v.SD*v.SD/(l*l)*t*t > float64(v.N) {
+		return Tie
+	}
+	if v.Mean > 0 {
+		return FirstWins
+	}
+	return SecondWins
+}
+
+// TestSteinIsStudent replays seeded pairs over a grid of gaps and
+// significance levels, looking at every point of the fixed schedule (I,
+// I+η, …, B). At each look Algorithm 5's rule, the "stein" policy and
+// Student's rule must give one verdict: S²t²/(|x̄|−ε)² ≤ n is
+// t·S/√n ≤ |x̄|−ε, Student's interval test up to ε.
+func TestSteinIsStudent(t *testing.T) {
+	const I, eta, B, sigma = 30, 30, 1000, 0.4
+	looks, concluded := 0, 0
+	for _, alpha := range []float64{0.02, 0.05, 0.1} {
+		tt := stats.NewTTable(alpha)
+		stein, student := NewStein(alpha), NewStudent(alpha)
+		for _, mu := range []float64{0, 0.01, -0.02, 0.04, 0.08, -0.15, 0.3} {
+			for seed := int64(1); seed <= 20; seed++ {
+				e := pairEngine(mu, sigma, seed)
+				v := e.Draw(0, 1, I)
+				for n := I; n <= B; n += eta {
+					want := steinRule(tt, v)
+					if got := stein.Test(v); got != want {
+						t.Fatalf("α=%v μ=%v seed %d n=%d: stein %v, Algorithm 5 %v", alpha, mu, seed, n, got, want)
+					}
+					if got := student.Test(v); got != want {
+						t.Fatalf("α=%v μ=%v seed %d n=%d: student %v, Algorithm 5 %v", alpha, mu, seed, n, got, want)
+					}
+					looks++
+					if want != Tie {
+						concluded++
+					}
+					v = e.Draw(0, 1, eta)
+				}
+			}
+		}
+	}
+	if concluded == 0 || concluded == looks {
+		t.Fatalf("%d of %d looks concluded: the grid does not exercise both verdicts", concluded, looks)
+	}
+}
+
 func TestHoeffdingDecisionRule(t *testing.T) {
 	alpha := 0.1
 	p := NewHoeffding(alpha)

@@ -353,12 +353,11 @@ func NewRunner(e *crowd.Engine, pol Policy, p Params) *Runner {
 // rule as the judgment store: verdicts are shared between queries running
 // the SAME policy (the fork switches to the session memo's side table for
 // the new policy name, shared with every other fork pinned to it), never
-// adopted across stopping rules — an adaptive policy's early surrender is
-// not the fixed schedule's exhausted tie, and Stein's verdict is not
-// Student's. A pinned query instead re-judges such pairs under its own
-// stopping rule against the session's already-purchased evidence, which
-// usually concludes without buying new samples. Call before the query
-// starts executing.
+// adopted across policy names — an adaptive policy's early surrender is
+// not the fixed schedule's exhausted tie. A pinned query instead
+// re-judges such pairs under its own stopping rule against the session's
+// already-purchased evidence, which usually concludes without buying new
+// samples. Call before the query starts executing.
 func (r *Runner) SetPolicy(pol Policy) {
 	if pol == nil {
 		panic("compare: SetPolicy requires a non-nil policy")

@@ -200,7 +200,7 @@ func (r *Runner) consultLocked(js *storeState, k [2]int) seenEntry {
 		// Concluded under a different policy than this runner's: the
 		// verdict was reached under a stopping rule the consumer did not
 		// choose (an adaptive policy's early surrender is not the fixed
-		// schedule's exhausted tie, Stein's verdict is not Student's).
+		// schedule's exhausted tie).
 		// Downgrade the fresh hit to a full-strength prior and re-verify
 		// at reduced cost instead of trusting it outright.
 		stale, decay = true, 1

@@ -15,7 +15,7 @@
 // (ties broken by the earliest deadline, then round-robin rotation), so a
 // high-priority query overtakes its neighbors without starving equals —
 // queries of one priority class still share the pool round-robin. Within
-// a query, tasks run highest-Priority first, FIFO among equals.
+// a query, tasks run in submission order.
 //
 // A query may be canceled mid-flight: Cancel drops its pending tasks
 // (their completions are delivered without running, so drivers never
@@ -49,9 +49,6 @@ type Task struct {
 	// to detect straggler steals (a later-round task starting while an
 	// earlier-round task of the same query is still running).
 	Round int64
-	// Priority orders tasks within one query: higher runs first, FIFO
-	// among equals. Cross-query order is round-robin regardless.
-	Priority int32
 	// Run performs the step. It must not submit to the scheduler itself
 	// (drivers submit follow-up steps from the completion loop), so tasks
 	// can never deadlock the pool.
@@ -135,7 +132,6 @@ type Query struct {
 	s       *Scheduler
 	pending []queued
 	head    int
-	prio    bool    // some pending task has nonzero priority
 	rounds  []int64 // rounds of this query's tasks currently running
 	closed  bool
 
@@ -201,7 +197,6 @@ func (q *Query) Cancel() {
 	s.pending -= len(q.pending) - q.head
 	q.pending = q.pending[:0]
 	q.head = 0
-	q.prio = false
 	if ins := s.ins; ins != nil {
 		ins.QueueDepth.Set(int64(s.pending))
 		ins.Dropped.Add(int64(len(tags)))
@@ -274,9 +269,6 @@ func (q *Query) Submit(t Task) {
 		return
 	}
 	q.pending = append(q.pending, qt)
-	if t.Priority != 0 {
-		q.prio = true
-	}
 	s.pending++
 	if ins := s.ins; ins != nil {
 		ins.QueueDepth.Set(int64(s.pending))
@@ -353,31 +345,15 @@ func (q *Query) deliver(tag int64) {
 	}
 }
 
-// takeLocked removes and returns the query's next task: highest priority
-// first, FIFO among equals. Caller holds s.mu and has checked the queue
-// is non-empty.
+// takeLocked pops the query's oldest pending task. Caller holds s.mu and
+// has checked the queue is non-empty.
 func (q *Query) takeLocked() queued {
-	best := q.head
-	if q.prio {
-		for i := q.head + 1; i < len(q.pending); i++ {
-			if q.pending[i].Priority > q.pending[best].Priority {
-				best = i
-			}
-		}
-	}
-	t := q.pending[best]
-	if best == q.head {
-		q.pending[best] = queued{}
-		q.head++
-	} else {
-		copy(q.pending[best:], q.pending[best+1:])
-		q.pending[len(q.pending)-1] = queued{}
-		q.pending = q.pending[:len(q.pending)-1]
-	}
+	t := q.pending[q.head]
+	q.pending[q.head] = queued{}
+	q.head++
 	if q.head == len(q.pending) {
 		q.pending = q.pending[:0]
 		q.head = 0
-		q.prio = false
 	}
 	return t
 }

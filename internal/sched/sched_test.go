@@ -93,36 +93,6 @@ func TestRoundRobinFairness(t *testing.T) {
 	}
 }
 
-// TestPriorityOrdersWithinQuery: with the pool blocked, the high-priority
-// task overtakes earlier FIFO submissions.
-func TestPriorityOrdersWithinQuery(t *testing.T) {
-	s := New(2)
-	q := s.Open()
-	defer q.Close()
-
-	gate := make(chan struct{})
-	// Occupy both workers so subsequent submissions queue up.
-	q.Submit(Task{Tag: 100, Run: func() { <-gate }})
-	q.Submit(Task{Tag: 101, Run: func() { <-gate }})
-	var first atomic.Int64
-	first.Store(-1)
-	for tag := int64(0); tag < 4; tag++ {
-		tg := tag
-		var prio int32
-		if tg == 3 {
-			prio = 1
-		}
-		q.Submit(Task{Tag: tg, Priority: prio, Run: func() {
-			first.CompareAndSwap(-1, tg)
-		}})
-	}
-	close(gate)
-	q.Drain(6)
-	if first.Load() != 3 {
-		t.Fatalf("first queued task to run was %d, want the priority-1 task 3", first.Load())
-	}
-}
-
 // TestWorkerLifecycle: workers exist only while a query is open, so idle
 // sessions hold no goroutines; reopening respawns them.
 func TestWorkerLifecycle(t *testing.T) {

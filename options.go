@@ -66,8 +66,9 @@ const (
 	Student PolicyName = "student"
 	// Stein is Algorithm 5 (STEINCOMP): Stein's estimation, recast
 	// progressively, on the fixed schedule. Its stopping rule is
-	// algebraically equivalent to Student's; both are offered as in the
-	// paper.
+	// Student's up to the paper's ε = 1e-9, so it runs Student's rule
+	// under its own name (its labels, memo side table and store trust
+	// stay separate).
 	Stein PolicyName = "stein"
 	// StudentOneSided uses half-closed (one-sided) intervals, the §3.1
 	// extension, on the fixed schedule: ~20% cheaper than Student at the
