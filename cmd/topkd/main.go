@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -52,7 +53,6 @@ import (
 	"time"
 
 	"crowdtopk"
-	qlog "crowdtopk/internal/obs/log"
 	"crowdtopk/internal/obs/slo"
 	"crowdtopk/internal/service"
 )
@@ -116,7 +116,7 @@ func main() {
 	// enabled and falls back to a plain stderr line when it is not, so
 	// startup failures are never silent.
 	fatal := func(code int, err error) {
-		if dlg.Enabled(qlog.LevelError) {
+		if dlg.Enabled(context.Background(), slog.LevelError) {
 			dlg.Error("fatal", "err", err)
 		} else {
 			fmt.Fprintln(os.Stderr, err)

@@ -218,23 +218,26 @@ func writeFileAtomic(path string, data []byte, hooks *crashHooks) error {
 	if err != nil {
 		return err
 	}
-	if err := hooks.write(tmp, data); err != nil {
+	// fail drops the temp file, except after a simulated crash: a dead
+	// process cleans nothing up, so the next Open must meet the debris.
+	fail := func(err error) error {
 		tmp.Close()
-		os.Remove(tmp.Name())
+		if !hooks.Died() {
+			os.Remove(tmp.Name())
+		}
 		return err
+	}
+	if err := hooks.write(tmp, data); err != nil {
+		return fail(err)
 	}
 	if err := hooks.sync(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+		return fail(err)
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+		return fail(err)
 	}
 	if err := hooks.rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
+		return fail(err)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,11 +63,29 @@ func isPairPrefix(t *testing.T, want, got []crowd.Record) {
 	}
 }
 
+// tempFiles lists the orphaned temp files of an atomic write in dir.
+func tempFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range ents {
+		if strings.Contains(e.Name(), ".tmp-") {
+			out = append(out, e.Name())
+		}
+	}
+	return out
+}
+
 // TestCrashAtEveryIOStep is the recovery table test: learn the io-step
 // universe of a fixed script, then for every step (and for a torn
 // partial write at that step) kill the writer there and require the next
 // Open to recover a verifiable, appendable directory whose contents are
-// per-pair prefixes of what was appended.
+// per-pair prefixes of what was appended. A kill inside an atomic file
+// write leaves its temp file behind, as a real crash does: Verify must
+// note it without failing, and Open must delete it.
 func TestCrashAtEveryIOStep(t *testing.T) {
 	base := t.TempDir()
 	probe := &crashHooks{}
@@ -78,6 +97,7 @@ func TestCrashAtEveryIOStep(t *testing.T) {
 	if steps < 40 {
 		t.Fatalf("baseline script too small to be interesting: %d io steps", steps)
 	}
+	withDebris := 0
 	for kill := int64(1); kill <= steps; kill++ {
 		for _, partial := range []int{0, 7} {
 			kill, partial := kill, partial
@@ -87,6 +107,10 @@ func TestCrashAtEveryIOStep(t *testing.T) {
 				_, _ = crashScript(dir, h)
 				if !h.Died() {
 					t.Fatalf("schedule (%d,%d) never fired", kill, partial)
+				}
+				debris := tempFiles(t, dir)
+				if len(debris) > 0 {
+					withDebris++
 				}
 
 				// The dead directory must still audit clean: crash debris is
@@ -99,12 +123,20 @@ func TestCrashAtEveryIOStep(t *testing.T) {
 					t.Fatalf("crash at %s step %d reads as tamper: firstBad=%s elements=%+v",
 						h.DiedOp.Load(), kill, rep.FirstBad, rep.Elements)
 				}
+				for _, name := range debris {
+					if !strings.Contains(strings.Join(rep.Notes, "\n"), name+": orphaned temp file") {
+						t.Fatalf("crash debris %s not noted by verify: %q", name, rep.Notes)
+					}
+				}
 				sameVerdict(t, dir)
 				// …and a fresh Open must recover it without hooks.
 				l, err := Open(dir, Options{SegmentMaxRecords: 4, CompactEvery: 2, Sync: SyncOff})
 				if err != nil {
 					t.Fatalf("reopen after crash at %s step %d: %v (verify: ok=%v firstBad=%s)",
 						h.DiedOp.Load(), kill, err, rep.OK, rep.FirstBad)
+				}
+				if left := tempFiles(t, dir); len(left) > 0 {
+					t.Fatalf("open after crash at %s step %d left debris %v", h.DiedOp.Load(), kill, left)
 				}
 				recovered := l.Total()
 				got, lerr := Load(dir)
@@ -142,6 +174,10 @@ func TestCrashAtEveryIOStep(t *testing.T) {
 			})
 		}
 	}
+	if withDebris == 0 {
+		t.Fatal("no kill point left a temp file: recovery's debris path went untested")
+	}
+	t.Logf("%d of %d kill points left a temp file", withDebris, 2*steps)
 }
 
 // TestCrashDuringRecovery kills the writer a second time, inside the

@@ -2,11 +2,11 @@ package compare
 
 import (
 	"fmt"
+	"log/slog"
 	"math"
 
 	"crowdtopk/internal/crowd"
 	"crowdtopk/internal/obs"
-	qlog "crowdtopk/internal/obs/log"
 	"crowdtopk/internal/sched"
 )
 
@@ -74,9 +74,9 @@ func (r *Runner) SetTelemetry(t *obs.Telemetry) {
 // SetLogger wires structured logging through the execution stack below
 // the runner: the shared scheduler's pool lifecycle and — when the
 // oracle is a platform adapter — quarantine and retry/breaker failure
-// events. Nil disables. Call before the runner is shared across
-// goroutines.
-func (r *Runner) SetLogger(lg *qlog.Logger) {
+// events. Nil installs the discard logger, the default. Call before the
+// runner is shared across goroutines.
+func (r *Runner) SetLogger(lg *slog.Logger) {
 	r.sch.SetLogger(lg)
 	if po, ok := r.eng.Oracle().(*crowd.PlatformOracle); ok {
 		po.SetLogger(lg)

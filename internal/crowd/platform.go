@@ -3,6 +3,7 @@ package crowd
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
 	"sync"
@@ -121,7 +122,7 @@ type PlatformOracle struct {
 	quarantined []Answer
 	events      *failureLog          // bounded quarantine-event ring
 	ins         *PlatformInstruments // metric bundle; nil = telemetry off
-	log         *qlog.Logger         // rate-limited quarantine reporting; nil = off
+	log         *slog.Logger         // rate-limited quarantine reporting; discard when off
 }
 
 // NewPlatformOracle wraps a platform over n items. The oracle's failure
@@ -138,6 +139,7 @@ func NewPlatformOracle(n int, p Platform) *PlatformOracle {
 		n: n, platform: p,
 		limit:  DefaultFailureLogLimit,
 		events: newFailureLog(0),
+		log:    qlog.Discard(),
 	}
 }
 
@@ -175,10 +177,10 @@ func (po *PlatformOracle) Instrument(ins *PlatformInstruments) {
 // SetLogger wires structured logging for validation quarantines and — via
 // the wrapped ResilientPlatform, when there is one — retry/breaker
 // failure events. Both streams are rate-limited: a misbehaving platform
-// emits failures in bursts and must not flood the log. Nil disables.
-// Call before concurrent use.
-func (po *PlatformOracle) SetLogger(lg *qlog.Logger) {
-	po.log = lg.With("component", "platform").Limited("platform-quarantine", 1, 5)
+// emits failures in bursts and must not flood the log. Nil installs the
+// discard logger, the default. Call before concurrent use.
+func (po *PlatformOracle) SetLogger(lg *slog.Logger) {
+	po.log = qlog.Limited(qlog.Component(lg, "platform"), "platform-quarantine", 1, 5)
 	if rp, ok := po.platform.(*ResilientPlatform); ok {
 		rp.SetLogger(lg)
 	}

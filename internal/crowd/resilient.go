@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"sync"
 	"time"
@@ -156,7 +157,7 @@ type ResilientPlatform struct {
 
 	failures *failureLog          // bounded event ring, own lock
 	ins      *PlatformInstruments // metric bundle; nil = telemetry off
-	log      *qlog.Logger         // rate-limited failure reporting; nil = off
+	log      *slog.Logger         // rate-limited failure reporting; discard when off
 }
 
 // NewResilientPlatform wraps the platform with the given policy.
@@ -168,6 +169,7 @@ func NewResilientPlatform(inner Platform, policy RetryPolicy) *ResilientPlatform
 		inner:   inner,
 		policy:  policy.withDefaults(),
 		batches: make(map[int]*resBatch),
+		log:     qlog.Discard(),
 	}
 	rp.failures = newFailureLog(rp.policy.FailureLogLimit)
 	rp.cctx, _ = inner.(ContextPlatform)
@@ -484,9 +486,10 @@ func (rp *ResilientPlatform) Close() error {
 }
 
 // SetLogger wires structured logging of failure events (rate-limited —
-// retry storms burst). Nil disables. Call before concurrent use.
-func (rp *ResilientPlatform) SetLogger(lg *qlog.Logger) {
-	rp.log = lg.With("component", "platform").Limited("platform-failure", 2, 10)
+// retry storms burst). Nil installs the discard logger, the default.
+// Call before concurrent use.
+func (rp *ResilientPlatform) SetLogger(lg *slog.Logger) {
+	rp.log = qlog.Limited(qlog.Component(lg, "platform"), "platform-failure", 2, 10)
 }
 
 func (rp *ResilientPlatform) record(ev FailureEvent) {

@@ -1,72 +1,104 @@
-// Package log is the zero-dependency structured logger for the daemons
-// and service layer: leveled JSONL with bound fields (query IDs, span
-// IDs, components) and per-key token-bucket rate limiting so a
-// misbehaving platform cannot flood the log — suppressed lines are
-// counted and reported on the next emitted line for that key.
-//
-// A nil *Logger is a no-op, matching the internal/obs idiom, so every
-// layer can carry a logger unconditionally and pay one nil check when
-// logging is off. Loggers derived with With share the parent's sink,
-// level and limiter state; bound fields are pre-encoded once.
+// Package log sets up log/slog as the structured logger the daemons and
+// the service layer share: its JSON handler writes one JSONL line per
+// record in the daemons' line shape, and the package adds what slog
+// lacks — an "off" level, per-key token-bucket rate limiting so a
+// misbehaving platform cannot flood the log, and a discard logger that
+// layers hold while logging is off, so call sites never check for nil.
 package log
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"io"
-	"strconv"
+	"log/slog"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Level is a log severity.
-type Level int32
+// levelOff is above every level a call site logs at: it writes nothing.
+const levelOff = slog.LevelError + 4
 
-const (
-	// LevelDebug emits everything, including per-query chatter.
-	LevelDebug Level = iota
-	// LevelInfo is the default operational level.
-	LevelInfo
-	// LevelWarn emits degradations (quarantines, admission rejects).
-	LevelWarn
-	// LevelError emits failures only.
-	LevelError
-	// LevelOff silences the logger entirely.
-	LevelOff
-)
-
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return "off"
-	}
+var levels = map[string]slog.Level{
+	"debug": slog.LevelDebug, "info": slog.LevelInfo, "": slog.LevelInfo,
+	"warn": slog.LevelWarn, "warning": slog.LevelWarn, "error": slog.LevelError,
+	"off": levelOff, "none": levelOff,
 }
 
-// ParseLevel maps a flag string to a Level ("debug", "info", "warn",
+// ParseLevel maps a flag string to a level ("debug", "info", "warn",
 // "error", "off").
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "debug":
-		return LevelDebug, nil
-	case "info", "":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	case "off", "none":
-		return LevelOff, nil
+func ParseLevel(s string) (slog.Level, error) {
+	if l, ok := levels[s]; ok {
+		return l, nil
 	}
-	return LevelInfo, fmt.Errorf("log: unknown level %q", s)
+	return slog.LevelInfo, fmt.Errorf("log: unknown level %q", s)
+}
+
+var discard = slog.New(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: levelOff}))
+
+// Discard returns the shared logger that writes nothing.
+func Discard() *slog.Logger { return discard }
+
+// Component returns lg with a "component" field bound, or the Discard
+// logger when lg is nil — the SetLogger idiom of every logging layer.
+func Component(lg *slog.Logger, name string) *slog.Logger {
+	if lg == nil {
+		return discard
+	}
+	return lg.With("component", name)
+}
+
+// New builds a logger writing records at or above level to w, one JSONL
+// line each. A nil w yields the Discard logger.
+func New(w io.Writer, level slog.Level) *slog.Logger { return newAt(w, level, nil) }
+
+// newAt is New with a clock that stamps every record (nil: slog's own).
+func newAt(w io.Writer, level slog.Level, now func() time.Time) *slog.Logger {
+	if w == nil {
+		return discard
+	}
+	h := slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level, ReplaceAttr: lineFormat})
+	return slog.New(&limiter{Handler: h, f: &family{now: now, buckets: map[string]*bucket{}}})
+}
+
+// lineFormat keeps the line shape: the time as "ts" in UTC, lower-case
+// level names, and durations as strings ("1.5s") rather than nanosecond
+// counts.
+func lineFormat(groups []string, a slog.Attr) slog.Attr {
+	switch {
+	case a.Value.Kind() == slog.KindDuration:
+		return slog.String(a.Key, a.Value.Duration().String())
+	case len(groups) == 0 && a.Key == slog.TimeKey && a.Value.Kind() == slog.KindTime:
+		return slog.Time("ts", a.Value.Time().UTC())
+	case len(groups) == 0 && a.Key == slog.LevelKey:
+		if l, ok := a.Value.Any().(slog.Level); ok {
+			return slog.String(slog.LevelKey, strings.ToLower(l.String()))
+		}
+	}
+	return a
+}
+
+// Limited returns lg rate-limited by a token bucket under key: at most
+// burst lines at once, refilling at perSec lines per second. Loggers from
+// one New, With children included, share a key's bucket; any other
+// logger gets buckets of its own. The next line that passes reports the
+// suppressed count as a "suppressed" field.
+func Limited(lg *slog.Logger, key string, perSec float64, burst int) *slog.Logger {
+	h, ok := lg.Handler().(*limiter)
+	if !ok {
+		h = &limiter{Handler: lg.Handler(), f: &family{buckets: map[string]*bucket{}}}
+	}
+	c := *h
+	c.key, c.rate, c.burst = key, perSec, float64(max(burst, 1))
+	return slog.New(&c)
+}
+
+// family is the state one logger family shares: the rate-limit buckets
+// by key, and the clock (nil: the record's own time).
+type family struct {
+	mu      sync.Mutex
+	now     func() time.Time
+	buckets map[string]*bucket
 }
 
 // bucket is one rate-limit key's token bucket.
@@ -76,228 +108,63 @@ type bucket struct {
 	suppressed int64
 }
 
-// core is the shared sink state behind a logger family.
-type core struct {
-	mu    sync.Mutex
-	w     io.Writer
-	level atomic.Int32
-	now   func() time.Time
-	lim   map[string]*bucket
-}
-
-// Logger emits JSONL records. Derive per-component/per-query loggers
-// with With; they share the root's sink and limiters.
-type Logger struct {
-	c *core
-	// fields is the pre-encoded bound-field fragment (`,"k":"v",...`).
-	fields []byte
-	// key/rate/burst configure rate limiting when key != "".
-	key   string
-	rate  float64
-	burst float64
-}
-
-// New builds a root logger writing JSONL records at or above level to w.
-// A nil w yields a nil (no-op) logger.
-func New(w io.Writer, level Level) *Logger {
-	return newAt(w, level, time.Now)
-}
-
-func newAt(w io.Writer, level Level, now func() time.Time) *Logger {
-	if w == nil {
-		return nil
+// take spends a token of key's bucket at time now. It reports whether
+// the line may pass and how many lines were suppressed before it.
+func (f *family) take(key string, rate, burst float64, now time.Time) (int64, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	b := f.buckets[key]
+	if b == nil {
+		b = &bucket{tokens: burst, last: now}
+		f.buckets[key] = b
 	}
-	c := &core{w: w, now: now, lim: make(map[string]*bucket)}
-	c.level.Store(int32(level))
-	return &Logger{c: c}
+	if dt := now.Sub(b.last).Seconds(); dt > 0 {
+		b.tokens = min(b.tokens+dt*rate, burst)
+		b.last = now
+	}
+	if b.tokens < 1 {
+		b.suppressed++
+		return 0, false
+	}
+	b.tokens--
+	n := b.suppressed
+	b.suppressed = 0
+	return n, true
 }
 
-// SetLevel changes the family's level at runtime (all derived loggers).
-func (l *Logger) SetLevel(level Level) {
-	if l == nil || l.c == nil {
-		return
-	}
-	l.c.level.Store(int32(level))
+// limiter wraps a handler with the family clock and, when key is set,
+// the family's token bucket for key.
+type limiter struct {
+	slog.Handler
+	f           *family
+	key         string
+	rate, burst float64
 }
 
-// Enabled reports whether records at level would be emitted — use to
-// skip expensive field construction. False on a nil logger.
-func (l *Logger) Enabled(level Level) bool {
-	return l != nil && l.c != nil && int32(level) >= l.c.level.Load()
-}
-
-// With returns a child logger with kv (alternating key, value pairs)
-// appended to the bound fields. The child shares the parent's sink,
-// level and limiter state. Nil-safe.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil || l.c == nil || len(kv) == 0 {
-		return l
+func (h *limiter) Handle(ctx context.Context, r slog.Record) error {
+	if h.f.now != nil {
+		r.Time = h.f.now()
 	}
-	buf := make([]byte, len(l.fields), len(l.fields)+32*len(kv)/2)
-	copy(buf, l.fields)
-	buf = appendKVs(buf, kv)
-	return &Logger{c: l.c, fields: buf, key: l.key, rate: l.rate, burst: l.burst}
-}
-
-// Limited returns a child logger whose emissions are rate-limited by a
-// token bucket shared across the family under key: at most `burst`
-// immediate lines, refilling at perSec lines/second. Suppressed lines
-// are counted and surfaced as a "suppressed" field on the next line that
-// passes. Nil-safe.
-func (l *Logger) Limited(key string, perSec float64, burst int) *Logger {
-	if l == nil || l.c == nil {
-		return l
-	}
-	if burst < 1 {
-		burst = 1
-	}
-	return &Logger{c: l.c, fields: l.fields, key: key, rate: perSec, burst: float64(burst)}
-}
-
-// Debug emits a debug record.
-func (l *Logger) Debug(msg string, kv ...any) { l.emit(LevelDebug, msg, kv) }
-
-// Info emits an info record.
-func (l *Logger) Info(msg string, kv ...any) { l.emit(LevelInfo, msg, kv) }
-
-// Warn emits a warning record.
-func (l *Logger) Warn(msg string, kv ...any) { l.emit(LevelWarn, msg, kv) }
-
-// Error emits an error record.
-func (l *Logger) Error(msg string, kv ...any) { l.emit(LevelError, msg, kv) }
-
-func (l *Logger) emit(level Level, msg string, kv []any) {
-	if !l.Enabled(level) {
-		return
-	}
-	c := l.c
-	now := c.now()
-
-	var suppressed int64
-	if l.key != "" {
-		c.mu.Lock()
-		b := c.lim[l.key]
-		if b == nil {
-			b = &bucket{tokens: l.burst, last: now}
-			c.lim[l.key] = b
-		}
-		if dt := now.Sub(b.last).Seconds(); dt > 0 {
-			b.tokens += dt * l.rate
-			if b.tokens > l.burst {
-				b.tokens = l.burst
-			}
-			b.last = now
-		}
-		if b.tokens < 1 {
-			b.suppressed++
-			c.mu.Unlock()
-			return
-		}
-		b.tokens--
-		suppressed = b.suppressed
-		b.suppressed = 0
-		c.mu.Unlock()
-	}
-
-	buf := make([]byte, 0, 160+len(l.fields))
-	buf = append(buf, `{"ts":"`...)
-	buf = now.UTC().AppendFormat(buf, time.RFC3339Nano)
-	buf = append(buf, `","level":"`...)
-	buf = append(buf, level.String()...)
-	buf = append(buf, `","msg":`...)
-	buf = appendJSONString(buf, msg)
-	buf = append(buf, l.fields...)
-	buf = appendKVs(buf, kv)
-	if suppressed > 0 {
-		buf = append(buf, `,"suppressed":`...)
-		buf = strconv.AppendInt(buf, suppressed, 10)
-	}
-	buf = append(buf, '}', '\n')
-
-	c.mu.Lock()
-	c.w.Write(buf)
-	c.mu.Unlock()
-}
-
-// appendKVs encodes alternating key/value pairs as `,"k":v` fragments.
-// A trailing key without a value gets null; non-string keys are
-// stringified defensively rather than dropped.
-func appendKVs(buf []byte, kv []any) []byte {
-	for n := 0; n < len(kv); n += 2 {
-		key, ok := kv[n].(string)
+	if h.key != "" {
+		n, ok := h.f.take(h.key, h.rate, h.burst, r.Time)
 		if !ok {
-			key = fmt.Sprint(kv[n])
+			return nil
 		}
-		buf = append(buf, ',')
-		buf = appendJSONString(buf, key)
-		buf = append(buf, ':')
-		if n+1 < len(kv) {
-			buf = appendValue(buf, kv[n+1])
-		} else {
-			buf = append(buf, "null"...)
+		if n > 0 {
+			r = r.Clone()
+			r.AddAttrs(slog.Int64("suppressed", n))
 		}
 	}
-	return buf
+	return h.Handler.Handle(ctx, r)
 }
 
-func appendValue(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case string:
-		return appendJSONString(buf, x)
-	case int:
-		return strconv.AppendInt(buf, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(buf, x, 10)
-	case uint64:
-		return strconv.AppendUint(buf, x, 10)
-	case float64:
-		return strconv.AppendFloat(buf, x, 'g', -1, 64)
-	case bool:
-		return strconv.AppendBool(buf, x)
-	case time.Duration:
-		return appendJSONString(buf, x.String())
-	case error:
-		if x == nil {
-			return append(buf, "null"...)
-		}
-		return appendJSONString(buf, x.Error())
-	case nil:
-		return append(buf, "null"...)
-	default:
-		b, err := json.Marshal(v)
-		if err != nil {
-			return appendJSONString(buf, fmt.Sprint(v))
-		}
-		return append(buf, b...)
-	}
-}
+func (h *limiter) WithAttrs(as []slog.Attr) slog.Handler { return h.over(h.Handler.WithAttrs(as)) }
 
-// appendJSONString appends s as a JSON string, escaping the minimal set.
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			buf = append(buf, '\\', c)
-		case c == '\n':
-			buf = append(buf, '\\', 'n')
-		case c == '\t':
-			buf = append(buf, '\\', 't')
-		case c == '\r':
-			buf = append(buf, '\\', 'r')
-		case c < 0x20:
-			buf = append(buf, '\\', 'u', '0', '0', hexDigit(c>>4), hexDigit(c&0xf))
-		default:
-			buf = append(buf, c)
-		}
-	}
-	return append(buf, '"')
-}
+func (h *limiter) WithGroup(name string) slog.Handler { return h.over(h.Handler.WithGroup(name)) }
 
-func hexDigit(n byte) byte {
-	if n < 10 {
-		return '0' + n
-	}
-	return 'a' + n - 10
+// over returns a copy of h over next, in h's family under h's key.
+func (h *limiter) over(next slog.Handler) slog.Handler {
+	c := *h
+	c.Handler = next
+	return &c
 }

@@ -32,6 +32,7 @@
 package sched
 
 import (
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,9 +77,9 @@ type Scheduler struct {
 
 	// log reports the pool's rare lifecycle events (spawn, drain); drops
 	// is its rate-limited sibling for cancel-time task drops, which can
-	// arrive in bursts. Both nil when logging is off.
-	log   *qlog.Logger
-	drops *qlog.Logger
+	// arrive in bursts. Both discard when logging is off.
+	log   *slog.Logger
+	drops *slog.Logger
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -95,7 +96,7 @@ func New(workers int) *Scheduler {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &Scheduler{workers: workers}
+	s := &Scheduler{workers: workers, log: qlog.Discard(), drops: qlog.Discard()}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -106,11 +107,11 @@ func (s *Scheduler) SetInstruments(ins *Instruments) { s.ins = ins }
 
 // SetLogger wires structured logging for the scheduler's rare events:
 // pool spawn/drain and cancel-time task drops (rate-limited, since a mass
-// cancellation drops queues in bursts). Nil disables. Call before the
-// scheduler is shared across goroutines.
-func (s *Scheduler) SetLogger(lg *qlog.Logger) {
-	s.log = lg.With("component", "sched")
-	s.drops = s.log.Limited("sched-cancel", 1, 5)
+// cancellation drops queues in bursts). Nil installs the discard logger,
+// the default. Call before the scheduler is shared across goroutines.
+func (s *Scheduler) SetLogger(lg *slog.Logger) {
+	s.log = qlog.Component(lg, "sched")
+	s.drops = qlog.Limited(s.log, "sched-cancel", 1, 5)
 }
 
 // Workers returns the pool bound.
@@ -132,7 +133,7 @@ type Query struct {
 	s       *Scheduler
 	pending []queued
 	head    int
-	rounds  []int64 // rounds of this query's tasks currently running
+	rounds  []int64 // rounds of this query's tasks currently running (instrumented only)
 	closed  bool
 
 	// priority and deadline weight the cross-query dequeue; both are
@@ -438,8 +439,8 @@ func (s *Scheduler) worker() {
 					break
 				}
 			}
+			q.rounds = append(q.rounds, t.Round)
 		}
-		q.rounds = append(q.rounds, t.Round)
 		s.mu.Unlock()
 
 		if s.ins != nil {
@@ -457,13 +458,13 @@ func (s *Scheduler) worker() {
 		// earlier round (it would read as a phantom straggler steal).
 		s.mu.Lock()
 		s.running--
-		for i, r := range q.rounds {
-			if r == t.Round {
-				q.rounds = append(q.rounds[:i], q.rounds[i+1:]...)
-				break
-			}
-		}
 		if ins := s.ins; ins != nil {
+			for i, r := range q.rounds {
+				if r == t.Round {
+					q.rounds = append(q.rounds[:i], q.rounds[i+1:]...)
+					break
+				}
+			}
 			ins.InFlight.Set(int64(s.running))
 		}
 		s.mu.Unlock()

@@ -142,6 +142,52 @@ func TestStragglerStealCounter(t *testing.T) {
 	}
 }
 
+// TestStealCountsExactlyOne: with instruments wired, a later-round task
+// that starts while an earlier round is running counts exactly one
+// steal. A same-round task beside the straggler, and a later-round task
+// that starts after the straggler finished, count none.
+func TestStealCountsExactlyOne(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(2)
+	s.SetInstruments(NewInstruments(reg))
+	q := s.Open()
+	defer q.Close()
+
+	release := make(chan struct{})
+	started := make(chan struct{})
+	q.Submit(Task{Tag: 0, Round: 1, Run: func() { close(started); <-release }})
+	<-started
+	q.Submit(Task{Tag: 1, Round: 1, Run: func() {}}) // same round: no steal
+	q.Next()
+	q.Submit(Task{Tag: 2, Round: 2, Run: func() {}}) // passes the running round 1
+	q.Next()
+	close(release)
+	q.Next()
+	q.Submit(Task{Tag: 3, Round: 3, Run: func() {}}) // round 1 is done: no steal
+	q.Next()
+	if got := reg.Counter(obs.MSchedSteals).Value(); got != 1 {
+		t.Fatalf("steals = %d, want 1", got)
+	}
+}
+
+// TestUninstrumentedPoolKeepsNoRounds: only the Steals counter reads the
+// running-round list, so a pool without instruments never fills it.
+func TestUninstrumentedPoolKeepsNoRounds(t *testing.T) {
+	s := New(2)
+	q := s.Open()
+	defer q.Close()
+	running := -1
+	q.Submit(Task{Tag: 0, Round: 1, Run: func() {
+		s.mu.Lock()
+		running = len(q.rounds)
+		s.mu.Unlock()
+	}})
+	q.Next()
+	if running != 0 {
+		t.Fatalf("running rounds seen from inside a task = %d, want 0 without instruments", running)
+	}
+}
+
 // TestDisabledInstrumentsAllocFree: with instruments off, the pool path
 // allocates nothing per task beyond the caller's own closure. This is the
 // scheduler's extension of the repo's disabled-telemetry alloc-regression

@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -70,8 +71,8 @@ type Config struct {
 	// the dashboard, and — with Telemetry — as gauges in /metrics.
 	SLO *slo.Objectives
 	// Logger, when non-nil, receives structured service events (accepts,
-	// rejections, completions, journal failures) as JSONL.
-	Logger *qlog.Logger
+	// rejections, completions, journal failures).
+	Logger *slog.Logger
 }
 
 // Server is the query service. Create with New, mount via Handler (it is
@@ -81,12 +82,12 @@ type Server struct {
 	mux *http.ServeMux
 
 	// slo is the burn-rate tracker (nil when Config.SLO is unset); log is
-	// the service's bound structured logger (nil = off; every call site is
-	// nil-safe). rej rate-limits admission-reject warnings so a client
-	// retry storm cannot flood the log.
+	// the service's bound structured logger (the discard logger when
+	// Config.Logger is nil). rej rate-limits admission-reject warnings so
+	// a client retry storm cannot flood the log.
 	slo *slo.Tracker
-	log *qlog.Logger
-	rej *qlog.Logger
+	log *slog.Logger
+	rej *slog.Logger
 
 	mu       sync.Mutex
 	queries  map[string]*query
@@ -237,10 +238,8 @@ func New(cfg Config) *Server {
 	if cfg.SLO != nil {
 		s.slo = slo.New(*cfg.SLO, nil)
 	}
-	if cfg.Logger != nil {
-		s.log = cfg.Logger.With("component", "service")
-		s.rej = s.log.Limited("admission-reject", 1, 5)
-	}
+	s.log = qlog.Component(cfg.Logger, "service")
+	s.rej = qlog.Limited(s.log, "admission-reject", 1, 5)
 	s.mux.HandleFunc("POST /queries", s.handleSubmit)
 	s.mux.HandleFunc("GET /queries", s.handleList)
 	s.mux.HandleFunc("GET /queries/{id}", s.handleGet)

@@ -163,10 +163,11 @@ dash=$(curl -fsS "http://$daddr/debug/dashboard")
 echo "$dash" | grep -q '<title>crowdtopk ops</title>' \
     || { echo "FAIL: /debug/dashboard did not serve the ops page"; exit 1; }
 
-# Structured logs landed as parseable JSONL with component tags.
+# Structured logs landed as JSONL in the pinned line shape (UTC "ts",
+# lower-case level, then msg) with component tags.
 [ -s "$dlog" ] || { echo "FAIL: structured log file empty"; exit 1; }
-head -1 "$dlog" | grep -q '"level":' \
-    || { echo "FAIL: structured log is not JSONL:"; head -1 "$dlog"; exit 1; }
+head -1 "$dlog" | grep -Eq '^\{"ts":"[^"]*Z","level":"(debug|info|warn|error)","msg":' \
+    || { echo "FAIL: structured log line is not in the pinned JSONL shape:"; head -1 "$dlog"; exit 1; }
 grep -q '"component":"service"' "$dlog" \
     || { echo "FAIL: no service-component log lines"; exit 1; }
 
